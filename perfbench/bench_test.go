@@ -100,6 +100,7 @@ func TestPlanWrappersKeepResultBytes(t *testing.T) {
 		if calls, _ := tr.sum("gen"); calls == 0 {
 			t.Errorf("%s: no graph builds traced", x.Name)
 		}
+		checkWalkUnits(t, x.Name, tr)
 		ck := &sim.Checkpoint{Dir: filepath.Join(dir, x.Name)}
 		if got, err = runExperiment(tr, "exp", x, cfg, ck); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%s: traced journaled Result differs (err %v)", x.Name, err)
@@ -107,6 +108,31 @@ func TestPlanWrappersKeepResultBytes(t *testing.T) {
 		ck.Resume = true
 		if got, err = runExperiment(nil, "exp", x, cfg, ck); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%s: resumed Result differs (err %v)", x.Name, err)
+		}
+	}
+}
+
+// checkWalkUnits checks that every walk span names the units of the
+// graphs it walked: each one a unit some graph build was traced under.
+func checkWalkUnits(t *testing.T, name string, tr *tracer) {
+	t.Helper()
+	built := map[int64]bool{}
+	for _, s := range tr.spans {
+		if s.Name == "gen" {
+			built[s.Unit] = true
+		}
+	}
+	for _, s := range tr.spans {
+		if s.Name != "walk" {
+			continue
+		}
+		if !built[s.Unit] || (len(s.Units) > 0 && s.Units[0] != s.Unit) {
+			t.Errorf("%s: walk span %d has unit %d (units %v), not one of a traced graph build", name, s.ID, s.Unit, s.Units)
+		}
+		for _, u := range s.Units {
+			if !built[u] {
+				t.Errorf("%s: batched walk span %d lists unit %d, not one of a traced graph build", name, s.ID, u)
+			}
 		}
 	}
 }

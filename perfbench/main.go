@@ -78,16 +78,16 @@ func main() {
 		seed     = flag.Uint64("seed", defaultSeed, "workload seed")
 		seconds  = flag.Float64("seconds", 20, "measuring time")
 		trace    = flag.Int("trace", 0, "0: end-to-end metrics; 1: traced run with per-layer metrics")
-		tiny     = flag.Bool("tiny", false, "tiny sizes (smoke tests; digests are not checked)")
 		pin      = flag.String("pin", "", "write this run's digests into the given file")
 	)
 	flag.Parse()
 	fn, ok := workloads[*workload]
-	if !ok || flag.NArg() != 0 || *seconds <= 0 || (*trace != 0 && *trace != 1) {
-		fmt.Fprintln(os.Stderr, "usage: perfbench --workload W --seed N --seconds S --trace 0|1")
+	// Pins hold the default seed's outputs, so only that seed may write them.
+	if !ok || flag.NArg() != 0 || *seconds <= 0 || (*trace != 0 && *trace != 1) || (*pin != "" && *seed != defaultSeed) {
+		fmt.Fprintln(os.Stderr, "usage: perfbench --workload W --seed N --seconds S --trace 0|1 [--pin FILE, default seed only]")
 		os.Exit(2)
 	}
-	e, err := newEnv(*workload, *seed, time.Duration(*seconds*float64(time.Second)), *trace == 1, *tiny)
+	e, err := newEnv(*workload, *seed, time.Duration(*seconds*float64(time.Second)), *trace == 1, false)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
@@ -114,6 +114,8 @@ func main() {
 
 // newEnv prepares a run: scratch directory under .bench_build in the
 // working directory, and the pinned digests when seed is the default.
+// tiny shrinks every workload for the package's tests; its outputs are
+// never checked against, nor written as, pins.
 func newEnv(workload string, seed uint64, budget time.Duration, traced, tiny bool) (*env, error) {
 	base, err := filepath.Abs(".bench_build")
 	if err != nil {

@@ -15,7 +15,7 @@ var endToEnd = map[string]string{
 	"wall_s":           "s",
 	"setup_s":          "s",
 	"throughput_per_s": "1/s",
-	"latency_p50_us":   "us",
+	"latency_us":       "us",
 	"peak_rss_mb":      "MiB",
 }
 

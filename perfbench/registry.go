@@ -6,10 +6,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -56,36 +58,40 @@ func registryJournal(e *env) error {
 // registryPass is what one pass of a registry workload measured.
 type registryPass struct {
 	wall, run, resume time.Duration
-	latencies         []float64 // µs per experiment run
+	latencies         []float64 // µs per experiment run, in run order
 }
 
 // registry drives both registry workloads: every experiment at every
 // configuration, optionally journaled and then resumed.
 func (e *env) registry(name string, cfgs []sim.ExpConfig, journaled bool) error {
 	exps := sim.Registry()
+	// The set-up is planning every experiment at every configuration.
+	// It takes well under a millisecond, so a handful of samples at the
+	// start would catch the host at one moment: setup_s is the median of
+	// samples taken at the start and before every experiment of the
+	// untraced passes, spread over the run as the passes are.
 	units := 0
-	// Planning takes well under a millisecond, so each set-up sample
-	// plans the registry planReps times and reports the mean.
-	const planReps = 100
-	setup, err := setupTimes(9, func() error {
-		for range planReps {
-			units = 0
-			for _, cfg := range cfgs {
-				for _, x := range exps {
-					plan, _, err := x.Plan(cfg)
-					if err != nil {
-						return fmt.Errorf("%s: plan: %w", x.Name, err)
-					}
-					units += plan.UnitCount()
+	var setups []time.Duration
+	setup := func() error {
+		t0 := time.Now()
+		units = 0
+		for _, cfg := range cfgs {
+			for _, x := range exps {
+				plan, _, err := x.Plan(cfg)
+				if err != nil {
+					return fmt.Errorf("%s: plan: %w", x.Name, err)
 				}
+				units += plan.UnitCount()
 			}
 		}
+		setups = append(setups, time.Since(t0))
 		return nil
-	})
-	if err != nil {
-		return err
 	}
-	setup /= planReps
+	for range 9 {
+		if err := setup(); err != nil {
+			return err
+		}
+	}
 	e.detail["units_per_pass"] = units
 	e.detail["experiments"] = len(exps)
 
@@ -94,7 +100,7 @@ func (e *env) registry(name string, cfgs []sim.ExpConfig, journaled bool) error 
 	bodies := map[string][]byte{}
 	var passes []registryPass
 	untraced := func() (time.Duration, error) {
-		p, err := e.registryPass(name, exps, cfgs, journaled, bodies, nil, false)
+		p, err := e.registryPass(name, exps, cfgs, journaled, bodies, nil, false, setup)
 		passes = append(passes, p)
 		return p.wall, err
 	}
@@ -107,21 +113,36 @@ func (e *env) registry(name string, cfgs []sim.ExpConfig, journaled bool) error 
 	}
 	var wall, run, resume []time.Duration
 	var lat []float64
+	perExp := make([][]float64, len(passes[0].latencies))
 	for _, p := range passes {
 		wall, run, resume = append(wall, p.wall), append(run, p.run), append(resume, p.resume)
 		lat = append(lat, p.latencies...)
+		for i, us := range p.latencies {
+			perExp[i] = append(perExp[i], us)
+		}
 	}
+	// The experiments' run times span two orders of magnitude, so the
+	// median run lands on whichever experiment sits in the middle and
+	// jumps between them from run to run. The typical experiment's
+	// latency is instead the geometric mean of each one's median.
+	var logSum float64
+	for _, us := range perExp {
+		logSum += math.Log(quantile(us, 0.5))
+	}
+	typical := math.Exp(logSum / float64(len(perExp)))
+	e.detail["typical_experiment_us"] = typical
 	e.detail["wall_s"] = summarize(durs(wall, time.Second))
 	e.detail["experiment_latency_us"] = summarize(lat)
 	e.detail["units_per_s"] = float64(units) / medianDur(run).Seconds()
+	e.detail["setup_s"] = summarize(durs(setups, time.Second))
 	if journaled {
 		e.detail["resume_s"] = summarize(durs(resume, time.Second))
 	}
 	if !e.traced {
 		e.setE2E("wall_s", medianDur(wall).Seconds())
-		e.setE2E("setup_s", setup.Seconds())
+		e.setE2E("setup_s", medianDur(setups).Seconds())
 		e.setE2E("throughput_per_s", float64(units)/medianDur(run).Seconds())
-		e.setE2E("latency_p50_us", quantile(lat, 0.5))
+		e.setE2E("latency_us", typical)
 		e.setE2E("peak_rss_mb", peakRSS())
 		return nil
 	}
@@ -133,12 +154,12 @@ func (e *env) registry(name string, cfgs []sim.ExpConfig, journaled bool) error 
 	var traced []registryPass
 	var journalOverhead time.Duration
 	tracedPass := func() (time.Duration, error) {
-		p, err := e.registryPass(name, exps, cfgs, journaled, bodies, tr, false)
+		p, err := e.registryPass(name, exps, cfgs, journaled, bodies, tr, false, nil)
 		traced = append(traced, p)
 		if err != nil || !journaled {
 			return p.wall, err
 		}
-		q, err := e.registryPass(name, exps, cfgs, false, bodies, bare, true)
+		q, err := e.registryPass(name, exps, cfgs, false, bodies, bare, true, nil)
 		journalOverhead += p.run - q.run
 		return p.wall, err
 	}
@@ -222,8 +243,9 @@ func (e *env) layerSpans(tr *tracer, k float64) {
 // registryPass runs every experiment at every configuration once. With
 // a tracer it goes through the instrumented plan path; bare marks the
 // journal-free comparison pass, whose outputs are checked but not
-// timed into the pass.
-func (e *env) registryPass(name string, exps []sim.Experiment, cfgs []sim.ExpConfig, journaled bool, bodies map[string][]byte, tr *tracer, bare bool) (registryPass, error) {
+// timed into the pass. A non-nil setup runs, untimed, before every
+// experiment.
+func (e *env) registryPass(name string, exps []sim.Experiment, cfgs []sim.ExpConfig, journaled bool, bodies map[string][]byte, tr *tracer, bare bool, setup func() error) (registryPass, error) {
 	var p registryPass
 	root := filepath.Join(e.dir, "journal")
 	if journaled {
@@ -234,6 +256,11 @@ func (e *env) registryPass(name string, exps []sim.Experiment, cfgs []sim.ExpCon
 	for ci, cfg := range cfgs {
 		for _, x := range exps {
 			key := fmt.Sprintf("%s/%d/%s", name, ci, x.Name)
+			if setup != nil {
+				if err := setup(); err != nil {
+					return p, err
+				}
+			}
 			var ck *sim.Checkpoint
 			if journaled {
 				ck = &sim.Checkpoint{Dir: filepath.Join(root, fmt.Sprint(ci), x.Name)}
@@ -344,11 +371,50 @@ func runExperiment(tr *tracer, root string, x sim.Experiment, cfg sim.ExpConfig,
 	return buf.Bytes(), err
 }
 
+// graphUnits maps each graph a plan built to its unit until the plan's
+// arms have walked it. It lives no longer than the plan, so it keeps
+// no graph alive that the plan's results do not.
+type graphUnits struct {
+	mu sync.Mutex
+	m  map[*graph.Graph]graphUnit
+}
+
+// graphUnit is the unit a graph was built for and the number of arm
+// calls that have yet to walk it.
+type graphUnit struct {
+	unit int64
+	uses int
+}
+
+// bind records that g was built for unit and that uses arm calls will
+// walk it.
+func (gu *graphUnits) bind(g *graph.Graph, unit int64, uses int) {
+	gu.mu.Lock()
+	defer gu.mu.Unlock()
+	gu.m[g] = graphUnit{unit, uses}
+}
+
+// walked returns the unit g was built for and counts one arm call on
+// it, forgetting g after the last one.
+func (gu *graphUnits) walked(g *graph.Graph) int64 {
+	gu.mu.Lock()
+	defer gu.mu.Unlock()
+	u := gu.m[g]
+	if u.uses--; u.uses > 0 {
+		gu.m[g] = u
+	} else {
+		delete(gu.m, g)
+	}
+	return u.unit
+}
+
 // instrument wraps a plan's exported graph factories and arm functions
 // in spans under parent. The graph wrapper freezes the graph itself
 // (Freeze is idempotent, so the runner's own call is then free) to
-// time Freeze apart from generation.
+// time Freeze apart from generation. Arm calls take their unit from
+// the graphs they walk.
 func instrument(tr *tracer, plan *sim.SweepPlan, parent int) {
+	units := &graphUnits{m: map[*graph.Graph]graphUnit{}}
 	for pi := range plan.Points {
 		pt := &plan.Points[pi]
 		build := pt.Graph
@@ -364,20 +430,25 @@ func instrument(tr *tracer, plan *sim.SweepPlan, parent int) {
 			s = tr.begin("freeze", parent, unit)
 			g.Freeze()
 			tr.end(s, 0)
+			units.bind(g, unit, len(pt.Arms))
 			return g, nil
 		}
 		for ai := range pt.Arms {
 			arm := &pt.Arms[ai]
 			run := arm.Run
 			arm.Run = func(trial int, g *graph.Graph, r *rng.Rand, sc *walk.CoverScratch, maxSteps int64) (sim.Measurement, error) {
-				s := tr.begin("walk", parent, tr.unit())
+				s := tr.begin("walk", parent, units.walked(g))
 				m, err := run(trial, g, r, sc, maxSteps)
 				tr.end(s, steps(m))
 				return m, err
 			}
 			if batch := arm.RunBatch; batch != nil {
 				arm.RunBatch = func(gs []*graph.Graph, rs []*rng.Rand, bt *walk.Batch, maxSteps int64) ([]sim.Measurement, []error) {
-					s := tr.begin("walk", parent, tr.unit())
+					us := make([]int64, len(gs))
+					for i, g := range gs {
+						us[i] = units.walked(g)
+					}
+					s := tr.beginUnits("walk", parent, us)
 					ms, errs := batch(gs, rs, bt, maxSteps)
 					var n int64
 					for i := range ms {

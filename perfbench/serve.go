@@ -27,10 +27,11 @@ var (
 	// hotExps give each client's memory-hit keys: several experiments,
 	// so body sizes vary.
 	hotExps = []string{"eq3", "grw", "star", "hcube", "compare", "degseq", "lemma13", "cor4"}
-	// diskExps and coldExps are cheap experiments: disk keys are spilled
-	// during set-up, cold keys are fresh seeds computed on request.
+	// diskExps are spilled during set-up. coldExps are the two cheapest
+	// experiments at two trials (about 2-3 ms a run on a 2-vCPU host):
+	// cold keys are fresh seeds of them, computed on request.
 	diskExps = []string{"radzik", "eq3", "rulea", "bias", "eq4", "phases", "ablation", "growth"}
-	coldExps = []string{"rulea", "bias", "eq4", "phases"}
+	coldExps = []string{"rulea", "eq4"}
 	// invalidQueries are rejected by validation (400) or lookup (404).
 	invalidQueries = []string{"exp=nosuch", "exp=eq3&trials=-1", "exp=eq3&scale=1000", "exp=eq3&kind=lcg", "exp=eq3&seed=x"}
 )
@@ -43,8 +44,31 @@ const (
 	// keys, touched far more often, stay resident.
 	cacheEntries  = 32
 	diskPerClient = 32
-	// The request mix, in percent of each client's requests.
-	pctHot, pctDisk, pctCold = 70, 15, 10 // the rest is invalid
+)
+
+// roundMix is what one client sends in one round: a fixed count of
+// each request class, in an order shuffled by the seed, so every round
+// does the same work. The counts are assumed, not taken from observed
+// traffic (reprod has no traffic record to take them from). They are
+// sized so that the serving layer (HTTP, the LRU, the spill store)
+// carries most of the clients' time: a cold miss costs about seventy
+// memory hits, so at 1% cold misses the experiment runs take about a
+// quarter of it (serve.cold_run_share in a traced run).
+type roundMix struct{ hot, disk, cold, invalid int }
+
+var (
+	fullRound = roundMix{hot: 160, disk: 34, cold: 2, invalid: 4} // 80% / 17% / 1% / 2%
+	tinyRound = roundMix{hot: 32, disk: 6, cold: 1, invalid: 1}
+)
+
+func (rm roundMix) total() int { return rm.hot + rm.disk + rm.cold + rm.invalid }
+
+// The request classes of a round.
+const (
+	classHot = iota
+	classDisk
+	classCold
+	classInvalid
 )
 
 // serveKey is one request of the mix.
@@ -70,10 +94,9 @@ type outcome struct {
 // clients sending a seeded mix of memory hits, disk hits, cold misses
 // and invalid requests.
 func serveMix(e *env) error {
-	perClient := diskPerClient
-	roundLen := 200
+	perClient, rm := diskPerClient, fullRound
 	if e.tiny {
-		perClient, roundLen = 4, 40
+		perClient, rm = 4, tinyRound
 	}
 	hot := make([][]serveKey, serveClients)
 	disk := make([][]serveKey, serveClients)
@@ -155,7 +178,7 @@ func serveMix(e *env) error {
 		defer tp.CloseIdleConnections()
 		clients[c] = &http.Client{Transport: tp, Timeout: time.Minute}
 	}
-	m := &mix{e: e, base: base, clients: clients, hot: hot, disk: disk, refs: refs, roundLen: roundLen,
+	m := &mix{e: e, base: base, clients: clients, hot: hot, disk: disk, refs: refs, rm: rm,
 		lat: map[string][]float32{}, counts: map[string]int{}, cold: map[string]serveKey{}, coldBody: map[string][]byte{}}
 	// Warm-up, not measured: every hot key once, so hot keys are in
 	// memory and connections are open.
@@ -193,11 +216,14 @@ func serveMix(e *env) error {
 	e.detail["cold_ms"] = summarize(colds)
 	e.detail["qps"] = float64(n) / total.Seconds()
 	e.detail["requests"] = m.counts
+	e.detail["cold_run_share"] = m.runShare()
 	if !e.traced {
 		e.setE2E("wall_s", medianDur(walls).Seconds())
 		e.setE2E("setup_s", setup.Seconds())
-		e.setE2E("throughput_per_s", float64(n)/total.Seconds())
-		e.setE2E("latency_p50_us", quantile(all, 0.5))
+		// Every round sends the same requests, so the median round gives
+		// the rate, as the median pass does on the other workloads.
+		e.setE2E("throughput_per_s", float64(serveClients*rm.total())/medianDur(walls).Seconds())
+		e.setE2E("latency_us", quantile(all, 0.5))
 		e.setE2E("peak_rss_mb", peakRSS())
 		return nil
 	}
@@ -218,15 +244,11 @@ func serveMix(e *env) error {
 	for _, c := range []string{"hit", "disk", "miss", "join", "invalid"} {
 		e.setLayer("serve.requests."+c, float64(m.counts[c])/k)
 	}
-	var coldTotal float64 // µs
-	for _, us := range m.latencies("miss") {
-		coldTotal += us
-	}
 	handler := e.handlerHit(srv, hot[0][0].query, refs)
 	e.setLayer("serve.handler_hit_us", handler)
 	e.setLayer("http.transport_us", quantile(m.latencies("hit"), 0.5)-handler)
 	e.setLayer("serve.run_s", m.runSum/k)
-	e.setLayer("serve.cold_run_share", m.runSum/max(coldTotal/1e6, 1e-9))
+	e.setLayer("serve.cold_run_share", m.runShare())
 	e.setLayer("serve.spill_writes", m.spills/k)
 	e.setLayer("serve.disk_hits", m.diskHits/k)
 	e.setLayer("serve.boot_spills", float64(bootSpills))
@@ -261,13 +283,13 @@ func (e *env) inProcess(k serveKey, body []byte) {
 
 // mix is the closed-loop client side of serve-mix.
 type mix struct {
-	e        *env
-	base     string
-	clients  []*http.Client
-	hot      [][]serveKey
-	disk     [][]serveKey
-	refs     map[string][]byte
-	roundLen int
+	e       *env
+	base    string
+	clients []*http.Client
+	hot     [][]serveKey
+	disk    [][]serveKey
+	refs    map[string][]byte
+	rm      roundMix
 
 	mu       sync.Mutex // guards e's counters and coldBody during a round
 	rounds   int
@@ -295,22 +317,39 @@ func (m *mix) latencies(classes ...string) []float64 {
 	return out
 }
 
-// round sends roundLen requests from each client concurrently, each
+// runShare is the share of the clients' summed request time that the
+// server spent running experiments (reprod_run_seconds_sum).
+func (m *mix) runShare() float64 {
+	var total float64 // µs
+	for _, us := range m.latencies("hit", "disk", "miss", "join", "invalid") {
+		total += us
+	}
+	return m.runSum / max(total/1e6, 1e-9)
+}
+
+// round sends the request mix from each client concurrently, each
 // client waiting for its reply before the next request, and reconciles
 // the clients' counts with the server's /metrics counters.
 func (m *mix) round(tr *tracer) (time.Duration, error) {
 	queries := make([][]string, serveClients)
 	for c := range serveClients {
 		r := rand.New(rand.NewSource(int64(derive(m.e.seed, 1<<20+m.rounds*serveClients+c))))
-		for range m.roundLen {
+		var order []int
+		for class, n := range []int{m.rm.hot, m.rm.disk, m.rm.cold, m.rm.invalid} {
+			for range n {
+				order = append(order, class)
+			}
+		}
+		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for _, class := range order {
 			var q string
-			switch p := r.Intn(100); {
-			case p < pctHot:
+			switch class {
+			case classHot:
 				q = m.hot[c][r.Intn(len(m.hot[c]))].query
-			case p < pctHot+pctDisk:
+			case classDisk:
 				q = m.disk[c][m.diskNext[c]%len(m.disk[c])].query
 				m.diskNext[c]++
-			case p < pctHot+pctDisk+pctCold:
+			case classCold:
 				seq := m.coldNext[c]
 				m.coldNext[c]++
 				k := newKey(coldExps[seq%len(coldExps)], derive(m.e.seed, 1<<30+seq*serveClients+c))

@@ -2,29 +2,28 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 )
 
 // span is one timed call into a layer. Spans of one (point, trial)
-// unit or one request share Unit; Parent is the enclosing span's ID
-// (-1 for a root). N is the work the call did: edges generated, walk
-// steps, bytes encoded.
+// unit or one request share Unit; a batched walk covers several units,
+// listed in Units (Unit is the first). Parent is the enclosing span's
+// ID (-1 for a root). N is the work the call did: edges generated,
+// walk steps, bytes encoded.
 type span struct {
-	ID     int    `json:"id"`
-	Parent int    `json:"parent"`
-	Unit   int64  `json:"unit"`
-	Name   string `json:"name"`
-	Start  int64  `json:"start_ns"`
-	End    int64  `json:"end_ns"`
-	N      int64  `json:"n,omitempty"`
+	ID     int     `json:"id"`
+	Parent int     `json:"parent"`
+	Unit   int64   `json:"unit"`
+	Units  []int64 `json:"units,omitempty"`
+	Name   string  `json:"name"`
+	Start  int64   `json:"start_ns"`
+	End    int64   `json:"end_ns"`
+	N      int64   `json:"n,omitempty"`
 }
 
 func (s span) dur() int64 { return s.End - s.Start }
@@ -36,21 +35,34 @@ type tracer struct {
 	t0    time.Time
 	spans []span
 	units int64
-	cur   map[uint64]int64 // goroutine → unit it is executing
 }
 
-func newTracer() *tracer { return &tracer{t0: time.Now(), cur: map[uint64]int64{}} }
+func newTracer() *tracer { return &tracer{t0: time.Now()} }
 
 func (t *tracer) begin(name string, parent int, unit int64) int {
+	return t.open(span{Parent: parent, Unit: unit, Name: name})
+}
+
+// beginUnits opens a span that works for several units at once.
+func (t *tracer) beginUnits(name string, parent int, units []int64) int {
+	s := span{Parent: parent, Units: units, Name: name}
+	if len(units) > 0 {
+		s.Unit = units[0]
+	}
+	return t.open(s)
+}
+
+func (t *tracer) open(s span) int {
 	if t == nil {
 		return -1
 	}
-	now := time.Since(t.t0).Nanoseconds()
+	s.Start = time.Since(t.t0).Nanoseconds()
+	s.End = s.Start
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id := len(t.spans)
-	t.spans = append(t.spans, span{ID: id, Parent: parent, Unit: unit, Name: name, Start: now, End: now})
-	return id
+	s.ID = len(t.spans)
+	t.spans = append(t.spans, s)
+	return s.ID
 }
 
 func (t *tracer) end(id int, n int64) {
@@ -63,44 +75,27 @@ func (t *tracer) end(id int, n int64) {
 	t.spans[id].End, t.spans[id].N = now, n
 }
 
-// newUnit starts a fresh unit id on the calling goroutine: the sweep
-// runner executes one (point, trial) unit per worker goroutine, and
-// each unit begins with its graph build.
+// add records a call timed by the caller: it started at start and
+// lasted d.
+func (t *tracer) add(name string, parent int, unit int64, start time.Time, d time.Duration, n int64) {
+	if t == nil {
+		return
+	}
+	from := start.Sub(t.t0).Nanoseconds()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.spans = append(t.spans, span{ID: len(t.spans), Parent: parent, Unit: unit, Name: name, Start: from, End: from + d.Nanoseconds(), N: n})
+}
+
+// newUnit returns a fresh unit id.
 func (t *tracer) newUnit() int64 {
 	if t == nil {
 		return 0
 	}
-	g := goid()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.units++
-	t.cur[g] = t.units
 	return t.units
-}
-
-// unit returns the unit the calling goroutine is executing.
-func (t *tracer) unit() int64 {
-	if t == nil {
-		return 0
-	}
-	g := goid()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cur[g]
-}
-
-// goid parses the calling goroutine's id from its stack header
-// ("goroutine 17 [running]:"). It costs about a microsecond, paid only
-// by traced runs, once per layer call.
-func goid() uint64 {
-	var buf [64]byte
-	b := buf[:runtime.Stack(buf[:], false)]
-	b = bytes.TrimPrefix(b, []byte("goroutine "))
-	if i := bytes.IndexByte(b, ' '); i > 0 {
-		b = b[:i]
-	}
-	id, _ := strconv.ParseUint(string(b), 10, 64)
-	return id
 }
 
 // selfNs sums, over the spans named name, each span's duration minus
