@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"testing"
 	"time"
@@ -149,5 +150,22 @@ func TestSelfTimeSubtractsChildUnion(t *testing.T) {
 	}
 	if got := tr.selfNs("walk"); got != 60 {
 		t.Errorf("walk self = %d, want 60", got)
+	}
+}
+
+func TestHistQuantilesWithinBucket(t *testing.T) {
+	var a, b hist
+	for i := 1; i <= 1000; i++ {
+		a.add(float64(i))
+		b.add(float64(1000 + i))
+	}
+	a.merge(&b)
+	for _, c := range []struct{ q, want float64 }{{0.5, 1000}, {0.99, 1980}, {0.001, 2}} {
+		if got := a.quantile(c.q); math.Abs(got/c.want-1) > 0.005 {
+			t.Errorf("quantile(%g) = %g, want %g within 0.5%%", c.q, got, c.want)
+		}
+	}
+	if s := a.summary(); s.N != 2000 || s.Tail != "p99" || a.sum != 2001000 {
+		t.Errorf("summary %+v, sum %g", s, a.sum)
 	}
 }

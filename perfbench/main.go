@@ -1,9 +1,11 @@
 // Command perfbench is the repository's end-to-end benchmark: four
 // seeded workloads, each run from one process, that time the paper's
 // registry, its journaled runs, the reprod serving layer and the cover
-// kernel from outside, through their public functions.
+// kernel from outside, through their public functions. BENCHMARK.json
+// declares registry-journal and serve-mix; README.md says why the
+// other two are run only by hand.
 //
-//	bash perfbench/run.sh --workload registry-s4 --seed 3 --seconds 25 --trace 0
+//	bash perfbench/run.sh --workload registry-journal --seed 3 --seconds 50 --trace 0
 //
 // Run it from the repository root: run.sh builds this module and runs
 // it there, where it reads perfbench/digests.json and writes only under

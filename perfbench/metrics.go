@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"slices"
@@ -162,19 +163,83 @@ type summary struct {
 }
 
 func summarize(xs []float64) summary {
-	s := summary{N: len(xs)}
-	if len(xs) == 0 {
+	return summarizeBy(len(xs), func(q float64) float64 { return quantile(xs, q) })
+}
+
+// summarizeBy builds the summary of n samples from their quantiles.
+func summarizeBy(n int, quantile func(q float64) float64) summary {
+	s := summary{N: n}
+	if n == 0 {
 		return s
 	}
-	s.Median = quantile(xs, 0.5)
+	s.Median = quantile(0.5)
 	for _, p := range []float64{99.9, 99, 95, 90, 75} {
-		if float64(len(xs))*(1-p/100) >= 10 {
-			s.Tail, s.TailV = fmt.Sprintf("p%g", p), quantile(xs, p/100)
+		if float64(n)*(1-p/100) >= 10 {
+			s.Tail, s.TailV = fmt.Sprintf("p%g", p), quantile(p/100)
 			break
 		}
 	}
 	return s
 }
+
+// scaled returns the summary with its values multiplied by f.
+func (s summary) scaled(f float64) summary {
+	s.Median *= f
+	s.TailV *= f
+	return s
+}
+
+// hist counts positive samples in logarithmic buckets 0.5% wide, so its
+// quantiles are within 0.5% and it keeps a fixed amount of memory
+// however many samples a run records. serve-mix records its request
+// latencies in it: keeping every sample, the process grew with the
+// number of requests a run fitted in, and peak_rss_mb with it.
+type hist struct {
+	counts map[int]int
+	n      int
+	sum    float64
+}
+
+const histStep = 1.005
+
+func (h *hist) add(x float64) {
+	if h.counts == nil {
+		h.counts = map[int]int{}
+	}
+	h.counts[int(math.Floor(math.Log(max(x, 1e-9))/math.Log(histStep)))]++
+	h.n++
+	h.sum += x
+}
+
+func (h *hist) merge(o *hist) {
+	if h.counts == nil {
+		h.counts = map[int]int{}
+	}
+	for k, c := range o.counts {
+		h.counts[k] += c
+	}
+	h.n += o.n
+	h.sum += o.sum
+}
+
+// quantile returns the geometric middle of the bucket that holds the
+// q-quantile (nearest rank).
+func (h *hist) quantile(q float64) float64 {
+	if h.n == 0 {
+		return math.NaN()
+	}
+	rank := max(int(math.Ceil(q*float64(h.n))), 1)
+	cum := 0
+	keys := slices.Sorted(maps.Keys(h.counts))
+	for _, k := range keys {
+		if cum += h.counts[k]; cum >= rank {
+			return math.Pow(histStep, float64(k)+0.5)
+		}
+	}
+	return math.Pow(histStep, float64(keys[len(keys)-1])+0.5)
+}
+
+func (h *hist) summary() summary { return summarizeBy(h.n, h.quantile) }
 
 func durs(ds []time.Duration, unit time.Duration) []float64 {
 	out := make([]float64, len(ds))

@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -20,10 +19,6 @@ import (
 	"repro/internal/walk"
 )
 
-// journalSeeds is how many master seeds one registry-journal pass
-// runs, so a pass lasts several seconds rather than one.
-const journalSeeds = 3
-
 // registryS4 runs every registry experiment at scale 4 with one
 // worker through Experiment.Run and encodes each Result: the paper's
 // full record at the scale users run, dominated by graph generation
@@ -33,26 +28,21 @@ func registryS4(e *env) error {
 	if e.tiny {
 		cfg.Scale, cfg.Trials = 1, 1
 	}
-	return e.registry("registry-s4", []sim.ExpConfig{cfg}, false)
+	return e.registry("registry-s4", cfg, false)
 }
 
 // registryJournal runs every experiment at scale 1 with nproc workers
 // into a fresh checkpoint journal, then resumes each complete journal:
 // many short units, so scheduling, fsync'd journal writes and the
-// restore path carry a large share of the time.
+// restore path carry a large share of the time. A pass runs one master
+// seed and lasts about 2 s, so a run holds many passes to take the
+// median of.
 func registryJournal(e *env) error {
-	var cfgs []sim.ExpConfig
-	for i := range journalSeeds {
-		cfg := sim.ExpConfig{Seed: derive(e.seed, 1+i), Scale: 1, Workers: runtime.GOMAXPROCS(0)}
-		if e.tiny {
-			cfg.Trials = 1
-		}
-		cfgs = append(cfgs, cfg)
-		if e.tiny {
-			break
-		}
+	cfg := sim.ExpConfig{Seed: derive(e.seed, 1), Scale: 1, Workers: runtime.GOMAXPROCS(0)}
+	if e.tiny {
+		cfg.Trials = 1
 	}
-	return e.registry("registry-journal", cfgs, true)
+	return e.registry("registry-journal", cfg, true)
 }
 
 // registryPass is what one pass of a registry workload measured.
@@ -61,9 +51,9 @@ type registryPass struct {
 	latencies         []float64 // µs per experiment run, in run order
 }
 
-// registry drives both registry workloads: every experiment at every
-// configuration, optionally journaled and then resumed.
-func (e *env) registry(name string, cfgs []sim.ExpConfig, journaled bool) error {
+// registry drives both registry workloads: every experiment at cfg,
+// optionally journaled and then resumed.
+func (e *env) registry(name string, cfg sim.ExpConfig, journaled bool) error {
 	exps := sim.Registry()
 	// The set-up is planning every experiment at every configuration.
 	// It takes well under a millisecond, so a handful of samples at the
@@ -75,14 +65,12 @@ func (e *env) registry(name string, cfgs []sim.ExpConfig, journaled bool) error 
 	setup := func() error {
 		t0 := time.Now()
 		units = 0
-		for _, cfg := range cfgs {
-			for _, x := range exps {
-				plan, _, err := x.Plan(cfg)
-				if err != nil {
-					return fmt.Errorf("%s: plan: %w", x.Name, err)
-				}
-				units += plan.UnitCount()
+		for _, x := range exps {
+			plan, _, err := x.Plan(cfg)
+			if err != nil {
+				return fmt.Errorf("%s: plan: %w", x.Name, err)
 			}
+			units += plan.UnitCount()
 		}
 		setups = append(setups, time.Since(t0))
 		return nil
@@ -100,7 +88,7 @@ func (e *env) registry(name string, cfgs []sim.ExpConfig, journaled bool) error 
 	bodies := map[string][]byte{}
 	var passes []registryPass
 	untraced := func() (time.Duration, error) {
-		p, err := e.registryPass(name, exps, cfgs, journaled, bodies, nil, false, setup)
+		p, err := e.registryPass(name, exps, cfg, journaled, bodies, nil, false, setup)
 		passes = append(passes, p)
 		return p.wall, err
 	}
@@ -113,24 +101,10 @@ func (e *env) registry(name string, cfgs []sim.ExpConfig, journaled bool) error 
 	}
 	var wall, run, resume []time.Duration
 	var lat []float64
-	perExp := make([][]float64, len(passes[0].latencies))
 	for _, p := range passes {
 		wall, run, resume = append(wall, p.wall), append(run, p.run), append(resume, p.resume)
 		lat = append(lat, p.latencies...)
-		for i, us := range p.latencies {
-			perExp[i] = append(perExp[i], us)
-		}
 	}
-	// The experiments' run times span two orders of magnitude, so the
-	// median run lands on whichever experiment sits in the middle and
-	// jumps between them from run to run. The typical experiment's
-	// latency is instead the geometric mean of each one's median.
-	var logSum float64
-	for _, us := range perExp {
-		logSum += math.Log(quantile(us, 0.5))
-	}
-	typical := math.Exp(logSum / float64(len(perExp)))
-	e.detail["typical_experiment_us"] = typical
 	e.detail["wall_s"] = summarize(durs(wall, time.Second))
 	e.detail["experiment_latency_us"] = summarize(lat)
 	e.detail["units_per_s"] = float64(units) / medianDur(run).Seconds()
@@ -142,7 +116,11 @@ func (e *env) registry(name string, cfgs []sim.ExpConfig, journaled bool) error 
 		e.setE2E("wall_s", medianDur(wall).Seconds())
 		e.setE2E("setup_s", medianDur(setups).Seconds())
 		e.setE2E("throughput_per_s", float64(units)/medianDur(run).Seconds())
-		e.setE2E("latency_us", typical)
+		// The median experiment run over every experiment and pass. The
+		// run times span two orders of magnitude, but a registry-journal
+		// run holds about twenty passes, so the median lands among the
+		// same experiments from run to run.
+		e.setE2E("latency_us", quantile(lat, 0.5))
 		e.setE2E("peak_rss_mb", peakRSS())
 		return nil
 	}
@@ -154,12 +132,12 @@ func (e *env) registry(name string, cfgs []sim.ExpConfig, journaled bool) error 
 	var traced []registryPass
 	var journalOverhead time.Duration
 	tracedPass := func() (time.Duration, error) {
-		p, err := e.registryPass(name, exps, cfgs, journaled, bodies, tr, false, nil)
+		p, err := e.registryPass(name, exps, cfg, journaled, bodies, tr, false, nil)
 		traced = append(traced, p)
 		if err != nil || !journaled {
 			return p.wall, err
 		}
-		q, err := e.registryPass(name, exps, cfgs, false, bodies, bare, true, nil)
+		q, err := e.registryPass(name, exps, cfg, false, bodies, bare, true, nil)
 		journalOverhead += p.run - q.run
 		return p.wall, err
 	}
@@ -240,12 +218,11 @@ func (e *env) layerSpans(tr *tracer, k float64) {
 	e.setLayer("sim.encode_bytes", float64(encoded)/k)
 }
 
-// registryPass runs every experiment at every configuration once. With
-// a tracer it goes through the instrumented plan path; bare marks the
-// journal-free comparison pass, whose outputs are checked but not
-// timed into the pass. A non-nil setup runs, untimed, before every
-// experiment.
-func (e *env) registryPass(name string, exps []sim.Experiment, cfgs []sim.ExpConfig, journaled bool, bodies map[string][]byte, tr *tracer, bare bool, setup func() error) (registryPass, error) {
+// registryPass runs every experiment at cfg once. With a tracer it
+// goes through the instrumented plan path; bare marks the journal-free
+// comparison pass, whose outputs are checked but not timed into the
+// pass. A non-nil setup runs, untimed, before every experiment.
+func (e *env) registryPass(name string, exps []sim.Experiment, cfg sim.ExpConfig, journaled bool, bodies map[string][]byte, tr *tracer, bare bool, setup func() error) (registryPass, error) {
 	var p registryPass
 	root := filepath.Join(e.dir, "journal")
 	if journaled {
@@ -253,40 +230,38 @@ func (e *env) registryPass(name string, exps []sim.Experiment, cfgs []sim.ExpCon
 			return p, err
 		}
 	}
-	for ci, cfg := range cfgs {
-		for _, x := range exps {
-			key := fmt.Sprintf("%s/%d/%s", name, ci, x.Name)
-			if setup != nil {
-				if err := setup(); err != nil {
-					return p, err
-				}
+	for _, x := range exps {
+		key := name + "/" + x.Name
+		if setup != nil {
+			if err := setup(); err != nil {
+				return p, err
 			}
-			var ck *sim.Checkpoint
-			if journaled {
-				ck = &sim.Checkpoint{Dir: filepath.Join(root, fmt.Sprint(ci), x.Name)}
-			}
-			t0 := time.Now()
-			body, err := runExperiment(tr, "exp."+x.Name, x, cfg, ck)
-			d := time.Since(t0)
-			p.run += d
-			p.latencies = append(p.latencies, float64(d)/1e3)
-			e.op(err)
-			if err != nil {
-				continue
-			}
-			e.sameBytes(key, body, bodies, tr != nil, bare)
-			if !journaled {
-				continue
-			}
-			resumed := *ck
-			resumed.Resume = true
-			t0 = time.Now()
-			rbody, err := runExperiment(tr, "resume."+x.Name, x, cfg, &resumed)
-			p.resume += time.Since(t0)
-			e.op(err)
-			if err == nil {
-				e.check(bytes.Equal(body, rbody), "%s: resumed Result differs from the journaled one", key)
-			}
+		}
+		var ck *sim.Checkpoint
+		if journaled {
+			ck = &sim.Checkpoint{Dir: filepath.Join(root, x.Name)}
+		}
+		t0 := time.Now()
+		body, err := runExperiment(tr, "exp."+x.Name, x, cfg, ck)
+		d := time.Since(t0)
+		p.run += d
+		p.latencies = append(p.latencies, float64(d)/1e3)
+		e.op(err)
+		if err != nil {
+			continue
+		}
+		e.sameBytes(key, body, bodies, tr != nil, bare)
+		if !journaled {
+			continue
+		}
+		resumed := *ck
+		resumed.Resume = true
+		t0 = time.Now()
+		rbody, err := runExperiment(tr, "resume."+x.Name, x, cfg, &resumed)
+		p.resume += time.Since(t0)
+		e.op(err)
+		if err == nil {
+			e.check(bytes.Equal(body, rbody), "%s: resumed Result differs from the journaled one", key)
 		}
 	}
 	p.wall = p.run + p.resume

@@ -44,6 +44,13 @@ const (
 	// keys, touched far more often, stay resident.
 	cacheEntries  = 32
 	diskPerClient = 32
+	// spillBudget bounds the spill directory, as a long-running server's
+	// would be: it holds the populated keys (about 150 KB) and the
+	// newest few hundred cold spills, and evicts older cold spills. The
+	// disk keys are read every round, so they stay at the LRU's front.
+	// Without it, every cold miss adds a file the store keeps indexed,
+	// and the process grows with the number of rounds a run fits in.
+	spillBudget = 1 << 20
 )
 
 // roundMix is what one client sends in one round: a fixed count of
@@ -113,6 +120,7 @@ func serveMix(e *env) error {
 	opts := serve.Options{
 		CacheEntries:    cacheEntries,
 		CacheDir:        e.dir + "/spill",
+		CacheDiskBytes:  spillBudget,
 		RunWorkers:      1,
 		MaxInflightRuns: serveClients,
 	}
@@ -155,6 +163,7 @@ func serveMix(e *env) error {
 		return err
 	}
 	bootSpills := srv.Metrics().DiskEntries.Load()
+	e.detail["boot_spill_bytes"] = srv.Metrics().DiskBytes.Load()
 	e.check(bootSpills == int64(len(keys)), "boot found %d spills, want %d", bootSpills, len(keys))
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -179,7 +188,7 @@ func serveMix(e *env) error {
 		clients[c] = &http.Client{Transport: tp, Timeout: time.Minute}
 	}
 	m := &mix{e: e, base: base, clients: clients, hot: hot, disk: disk, refs: refs, rm: rm,
-		lat: map[string][]float32{}, counts: map[string]int{}, cold: map[string]serveKey{}, coldBody: map[string][]byte{}}
+		lat: map[string]*hist{}, counts: map[string]int{}, cold: map[string]serveKey{}, coldBody: map[string][]byte{}}
 	// Warm-up, not measured: every hot key once, so hot keys are in
 	// memory and connections are open.
 	for c := range serveClients {
@@ -204,17 +213,12 @@ func serveMix(e *env) error {
 		total += w
 	}
 	all := m.latencies("hit", "disk", "miss", "join", "invalid")
-	n := len(all)
-	colds := m.latencies("miss")
-	for i := range colds {
-		colds[i] /= 1e3
-	}
 	e.detail["round_s"] = summarize(durs(walls, time.Second))
-	e.detail["latency_us"] = summarize(all)
-	e.detail["hit_us"] = summarize(m.latencies("hit"))
-	e.detail["disk_hit_us"] = summarize(m.latencies("disk"))
-	e.detail["cold_ms"] = summarize(colds)
-	e.detail["qps"] = float64(n) / total.Seconds()
+	e.detail["latency_us"] = all.summary()
+	e.detail["hit_us"] = m.latencies("hit").summary()
+	e.detail["disk_hit_us"] = m.latencies("disk").summary()
+	e.detail["cold_ms"] = m.latencies("miss").summary().scaled(1e-3)
+	e.detail["qps"] = float64(all.n) / total.Seconds()
 	e.detail["requests"] = m.counts
 	e.detail["cold_run_share"] = m.runShare()
 	if !e.traced {
@@ -223,7 +227,9 @@ func serveMix(e *env) error {
 		// Every round sends the same requests, so the median round gives
 		// the rate, as the median pass does on the other workloads.
 		e.setE2E("throughput_per_s", float64(serveClients*rm.total())/medianDur(walls).Seconds())
-		e.setE2E("latency_us", quantile(all, 0.5))
+		// The median request, taken exactly as the median over rounds of
+		// each round's median (the histogram's would step by its buckets).
+		e.setE2E("latency_us", quantile(m.roundMedians, 0.5))
 		e.setE2E("peak_rss_mb", peakRSS())
 		return nil
 	}
@@ -246,7 +252,7 @@ func serveMix(e *env) error {
 	}
 	handler := e.handlerHit(srv, hot[0][0].query, refs)
 	e.setLayer("serve.handler_hit_us", handler)
-	e.setLayer("http.transport_us", quantile(m.latencies("hit"), 0.5)-handler)
+	e.setLayer("http.transport_us", m.latencies("hit").quantile(0.5)-handler)
 	e.setLayer("serve.run_s", m.runSum/k)
 	e.setLayer("serve.cold_run_share", m.runShare())
 	e.setLayer("serve.spill_writes", m.spills/k)
@@ -295,8 +301,10 @@ type mix struct {
 	rounds   int
 	diskNext [serveClients]int
 	coldNext [serveClients]int
-	lat      map[string][]float32 // µs per request, by class
-	counts   map[string]int
+	lat      map[string]*hist // µs per request, by class
+	// roundMedians is each round's median request latency, µs.
+	roundMedians []float64
+	counts       map[string]int
 	// cold samples fresh keys for an in-process check after the timed
 	// rounds; coldBody holds their served bodies.
 	cold     map[string]serveKey
@@ -307,11 +315,11 @@ type mix struct {
 }
 
 // latencies returns the request latencies of the given classes, in µs.
-func (m *mix) latencies(classes ...string) []float64 {
-	var out []float64
+func (m *mix) latencies(classes ...string) *hist {
+	out := &hist{}
 	for _, c := range classes {
-		for _, us := range m.lat[c] {
-			out = append(out, float64(us))
+		if h := m.lat[c]; h != nil {
+			out.merge(h)
 		}
 	}
 	return out
@@ -320,10 +328,7 @@ func (m *mix) latencies(classes ...string) []float64 {
 // runShare is the share of the clients' summed request time that the
 // server spent running experiments (reprod_run_seconds_sum).
 func (m *mix) runShare() float64 {
-	var total float64 // µs
-	for _, us := range m.latencies("hit", "disk", "miss", "join", "invalid") {
-		total += us
-	}
+	total := m.latencies("hit", "disk", "miss", "join", "invalid").sum // µs
 	return m.runSum / max(total/1e6, 1e-9)
 }
 
@@ -398,16 +403,24 @@ func (m *mix) round(tr *tracer) (time.Duration, error) {
 		return 0, err
 	}
 	got := map[string]int{}
+	var lats []float64
 	for c := range results {
 		for _, o := range results[c] {
+			lats = append(lats, o.lat.Seconds()*1e6)
 			got[o.class]++
 			m.bytesOut += int64(o.bytes)
-			m.lat[o.class] = append(m.lat[o.class], float32(o.lat.Seconds()*1e6))
+			h := m.lat[o.class]
+			if h == nil {
+				h = &hist{}
+				m.lat[o.class] = h
+			}
+			h.add(o.lat.Seconds() * 1e6)
 		}
 	}
 	for k, v := range got {
 		m.counts[k] += v
 	}
+	m.roundMedians = append(m.roundMedians, quantile(lats, 0.5))
 	m.runSum += after["reprod_run_seconds_sum"] - before["reprod_run_seconds_sum"]
 	m.spills += after["reprod_spill_writes_total"] - before["reprod_spill_writes_total"]
 	m.diskHits += after["reprod_disk_hits_total"] - before["reprod_disk_hits_total"]
