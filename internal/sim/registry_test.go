@@ -216,70 +216,66 @@ func TestProgressCallbackCountsEveryUnit(t *testing.T) {
 
 // --- Result JSON: golden files, worker invariance, round trip -------------
 
-// The two representatives: eq3 (plain []row payload) and degseq (the
-// bundled rows+growth payload). Regenerate with:
+// Every registry experiment's Result JSON is pinned byte-for-byte by a
+// golden file, so any change to seeds, draw order, engines or encoding
+// that moves a single digit of any table fails here. Regenerate with:
 //
 //	UPDATE_GOLDEN=1 go test ./internal/sim -run TestResultJSONGolden
 var updateGolden = os.Getenv("UPDATE_GOLDEN") != ""
 
 func TestResultJSONGoldenWorkerInvariantRoundTrip(t *testing.T) {
-	for _, name := range []string{"eq3", "degseq"} {
-		e, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		encode := func(workers int) []byte {
-			res, err := e.Run(context.Background(), ExpConfig{Seed: 2012, Trials: 2, Workers: workers}, RunOptions{})
+	for _, e := range Registry() {
+		e := e
+		t.Run(e.Name, func(t *testing.T) {
+			encode := func(workers int) (*Result, []byte) {
+				res, err := e.Run(context.Background(), ExpConfig{Seed: 2012, Trials: 2, Workers: workers}, RunOptions{})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				var buf bytes.Buffer
+				if err := res.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return res, buf.Bytes()
+			}
+			res, serial := encode(1)
+			if _, parallel := encode(8); !bytes.Equal(serial, parallel) {
+				t.Errorf("JSON differs between Workers=1 and Workers=8")
+			}
+			golden := filepath.Join("testdata", "result_"+e.Name+".json")
+			if updateGolden {
+				if err := os.WriteFile(golden, serial, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+				t.Fatalf("%s (set UPDATE_GOLDEN=1 to regenerate): %v", golden, err)
 			}
-			var buf bytes.Buffer
-			if err := res.WriteJSON(&buf); err != nil {
+			if !bytes.Equal(serial, want) {
+				t.Errorf("JSON drifted from golden file %s", golden)
+			}
+			// Round trip: the decoded result reconstructs the stamp and the
+			// table exactly.
+			dec, err := ReadResult(bytes.NewReader(want))
+			if err != nil {
 				t.Fatal(err)
 			}
-			return buf.Bytes()
-		}
-		serial := encode(1)
-		if parallel := encode(8); !bytes.Equal(serial, parallel) {
-			t.Errorf("%s: JSON differs between Workers=1 and Workers=8", name)
-		}
-		golden := filepath.Join("testdata", "result_"+name+".json")
-		if updateGolden {
-			if err := os.WriteFile(golden, serial, 0o644); err != nil {
+			if dec.Name != e.Name || dec.Seed != 2012 || dec.Trials != 2 || dec.Scale != 1 {
+				t.Errorf("decoded stamp %q seed=%d trials=%d scale=%d", dec.Name, dec.Seed, dec.Trials, dec.Scale)
+			}
+			var a, b bytes.Buffer
+			if err := dec.Table.WriteText(&a); err != nil {
 				t.Fatal(err)
 			}
-			continue
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("%s (set UPDATE_GOLDEN=1 to regenerate): %v", golden, err)
-		}
-		if !bytes.Equal(serial, want) {
-			t.Errorf("%s: JSON drifted from golden file %s", name, golden)
-		}
-		// Round trip: the decoded result reconstructs the stamp and the
-		// table exactly.
-		dec, err := ReadResult(bytes.NewReader(want))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dec.Name != name || dec.Seed != 2012 || dec.Trials != 2 || dec.Scale != 1 {
-			t.Errorf("%s: decoded stamp %q seed=%d trials=%d scale=%d", name, dec.Name, dec.Seed, dec.Trials, dec.Scale)
-		}
-		live, err := e.Run(context.Background(), ExpConfig{Seed: 2012, Trials: 2}, RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var a, b bytes.Buffer
-		if err := dec.Table.WriteText(&a); err != nil {
-			t.Fatal(err)
-		}
-		if err := live.Table.WriteText(&b); err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
-			t.Errorf("%s: decoded table differs from live table", name)
-		}
+			if err := res.Table.WriteText(&b); err != nil {
+				t.Fatal(err)
+			}
+			if a.String() != b.String() {
+				t.Errorf("decoded table differs from live table")
+			}
+		})
 	}
 }
 
