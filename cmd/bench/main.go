@@ -145,43 +145,28 @@ type ServeResult struct {
 	FanInWallMs  float64     `json:"fan_in_wall_ms"`
 }
 
-// BatchWidthResult is one lockstep width of the batch section: W full
-// vertex covers per op through walk.Batch, reported per cover.
-type BatchWidthResult struct {
-	Walks        int     `json:"walks"`
-	NsPerCover   float64 `json:"ns_per_cover"`
-	CoversPerSec float64 `json:"covers_per_sec"`
-	Speedup      float64 `json:"speedup"` // vs the sequential reuse loop
-}
-
-// BatchResult is one graph size of the batched multi-walk section:
-// walk.Batch at each power-of-two width up to -batch-w against the
-// sequential reuse loop (e.Reset + shared CoverScratch — the fastest
-// sequential shape, a stricter bar than fresh construction) on the
-// same frozen graph; -batch-n lists the sizes, spanning the
-// scalecover points that fit CI time (small graphs show the engine's
-// step-cost win cleanly, larger ones the cache-footprint tradeoff). All
-// widths and the sequential comparator are timed in interleaved rounds
-// (every contender sampled once per round, min of rounds) so slow host
-// drift hits them alike — the same methodology as -compare mode. The
-// width sweep is the honest report: the engine's targeted-deletion
-// redesign pays at every width, while the optimum width is a cache-
-// size question (each lane owns a pending arena the size of the CSR,
-// so wide batches trade memory-level parallelism against L2 footprint
-// — single-vCPU CI hosts tend to favor w=1, wider machines wider).
-// Before timing, every lane's outcome at the widest setting is checked
-// identical to a fresh sequential run with the same generator seed;
-// the speedup is only ever reported for a batch engine proven
+// KernelResult is one graph size of the kernel section: the Uniform
+// cover kernel (CoverScratch.UniformVertexCover) against the sequential
+// reuse loop (e.Reset + shared CoverScratch — the fastest Process-driver
+// shape, a stricter bar than fresh construction) on the same frozen
+// graph; -batch-n lists the sizes, spanning the scalecover points that
+// fit CI time. Both contenders stream one identically seeded generator
+// through successive covers, so they walk the very same trajectories,
+// and are timed in interleaved rounds (each sampled once per round, min
+// of rounds) so slow host drift hits them alike — the same methodology
+// as -compare mode. Before timing, the kernel's outcome on several
+// seeds is checked identical to a fresh EProcess run with the same
+// generator seed; the speedup is only ever reported for a kernel proven
 // draw-for-draw equivalent in the same process.
-type BatchResult struct {
-	N               int                `json:"n"`
-	Degree          int                `json:"degree"`
-	Rounds          int                `json:"rounds"`
-	SeqNsPerCover   float64            `json:"seq_ns_per_cover"`
-	SeqCoversPerSec float64            `json:"seq_covers_per_sec"`
-	Widths          []BatchWidthResult `json:"widths"`
-	BestWalks       int                `json:"best_walks"`
-	Speedup         float64            `json:"speedup"` // best width vs sequential
+type KernelResult struct {
+	N                  int     `json:"n"`
+	Degree             int     `json:"degree"`
+	Rounds             int     `json:"rounds"`
+	SeqNsPerCover      float64 `json:"seq_ns_per_cover"`
+	SeqCoversPerSec    float64 `json:"seq_covers_per_sec"`
+	KernelNsPerCover   float64 `json:"kernel_ns_per_cover"`
+	KernelCoversPerSec float64 `json:"kernel_covers_per_sec"`
+	Speedup            float64 `json:"speedup"` // kernel vs sequential
 }
 
 // LargeNResult is the large-n scaling section: the same full-cover
@@ -202,7 +187,7 @@ type Report struct {
 	NumCPU     int             `json:"num_cpu"`
 	Benchmarks []BenchResult   `json:"benchmarks"`
 	Cover      CoverResult     `json:"cover"`
-	Batch      []BatchResult   `json:"batch"`
+	Kernel     []KernelResult  `json:"kernel"`
 	Sweep      SweepResult     `json:"sweep"`
 	Footprint  FootprintResult `json:"footprint"`
 	Churn      ChurnResult     `json:"churn"`
@@ -327,48 +312,34 @@ func runInterleaved(benches []namedBench, rounds int) []BenchResult {
 	return out
 }
 
-// batchLaneSeed gives lane l of the batch benchmark its generator seed;
-// the verification pass reruns the same seeds sequentially.
-func batchLaneSeed(l int) uint64 { return uint64(100 + l) }
+// kernelGateSeeds is how many generator seeds the kernel section's
+// equivalence gate checks against fresh EProcess runs.
+const kernelGateSeeds = 8
 
-// benchBatch measures the batched multi-walk engine against the
-// sequential reuse loop on one frozen graph, at every power-of-two
-// lockstep width up to maxW. It first proves, in this process, that
-// every batch lane reproduces the sequential engine's exact outcome
-// for the same seed, then times all contenders in interleaved
-// min-of-rounds.
-func benchBatch(n, d, maxW, rounds int) BatchResult {
+// benchKernel measures the Uniform cover kernel against the sequential
+// reuse loop on one frozen graph. It first proves, in this process,
+// that the kernel reproduces EProcess's exact outcome for several
+// seeds, then times both in interleaved min-of-rounds.
+func benchKernel(n, d, rounds int) KernelResult {
 	g := mustRegular(n, d, 9)
 	g.Freeze()
 
-	var widths []int
-	for w := 1; w <= maxW; w *= 2 {
-		widths = append(widths, w)
-	}
-
-	// Equivalence gate: batch outcomes at the widest setting must be
-	// identical to fresh sequential covers with the same generators
-	// before any timing is worth reporting.
-	var bt walk.Batch
-	lanes := make([]walk.Lane, widths[len(widths)-1])
-	for l := range lanes {
-		lanes[l] = walk.Lane{G: g, R: rng.NewXoshiro256(batchLaneSeed(l)), Start: 0}
-	}
-	for l, o := range bt.VertexCover(lanes, 0) {
-		if o.Err != nil {
-			panic(fmt.Sprintf("bench batch: lane %d: %v", l, o.Err))
-		}
-		e := walk.NewEProcess(g, rng.NewXoshiro256(batchLaneSeed(l)), nil, 0)
-		steps, err := walk.VertexCoverSteps(e, 0)
+	var sc walk.CoverScratch
+	for s := uint64(100); s < 100+kernelGateSeeds; s++ {
+		got, err := sc.UniformVertexCover(g, rng.NewXoshiro256(s), 0, 0)
 		if err != nil {
-			panic(fmt.Sprintf("bench batch: sequential lane %d: %v", l, err))
+			panic(fmt.Sprintf("bench kernel: seed %d: %v", s, err))
 		}
-		if steps != o.Steps {
-			panic(fmt.Sprintf("bench batch: lane %d diverges: batch %d steps, sequential %d", l, o.Steps, steps))
+		want, err := walk.VertexCoverSteps(walk.NewEProcess(g, rng.NewXoshiro256(s), nil, 0), 0)
+		if err != nil {
+			panic(fmt.Sprintf("bench kernel: sequential seed %d: %v", s, err))
+		}
+		if got != want {
+			panic(fmt.Sprintf("bench kernel: seed %d diverges: kernel %d steps, sequential %d", s, got, want))
 		}
 	}
 
-	contenders := []namedBench{
+	timed := runInterleaved([]namedBench{
 		{"seq", func(b *testing.B) {
 			e := walk.NewEProcess(g, rng.NewXoshiro256(11), nil, 0)
 			var sc walk.CoverScratch
@@ -381,48 +352,28 @@ func benchBatch(n, d, maxW, rounds int) BatchResult {
 				}
 			}
 		}},
-	}
-	for _, w := range widths {
-		w := w
-		contenders = append(contenders, namedBench{fmt.Sprintf("batch-w%d", w), func(b *testing.B) {
-			var bt walk.Batch
-			lanes := make([]walk.Lane, w)
+		{"kernel", func(b *testing.B) {
+			x := rng.NewXoshiro256(11)
+			var sc walk.CoverScratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for l := range lanes {
-					lanes[l] = walk.Lane{G: g, R: rng.NewXoshiro256(batchLaneSeed(l)), Start: 0}
-				}
-				for _, o := range bt.VertexCover(lanes, 0) {
-					if o.Err != nil {
-						b.Fatal(o.Err)
-					}
+				if _, err := sc.UniformVertexCover(g, x, 0, 0); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}})
-	}
-	timed := runInterleaved(contenders, rounds)
-	res := BatchResult{
-		N:             n,
-		Degree:        d,
-		Rounds:        rounds,
-		SeqNsPerCover: timed[0].NsPerOp,
+		}},
+	}, rounds)
+	res := KernelResult{
+		N:                n,
+		Degree:           d,
+		Rounds:           rounds,
+		SeqNsPerCover:    timed[0].NsPerOp,
+		KernelNsPerCover: timed[1].NsPerOp,
 	}
 	res.SeqCoversPerSec = 1e9 / res.SeqNsPerCover
-	for i, w := range widths {
-		perCover := timed[i+1].NsPerOp / float64(w)
-		wr := BatchWidthResult{
-			Walks:        w,
-			NsPerCover:   perCover,
-			CoversPerSec: 1e9 / perCover,
-			Speedup:      res.SeqNsPerCover / perCover,
-		}
-		res.Widths = append(res.Widths, wr)
-		if wr.Speedup > res.Speedup {
-			res.Speedup = wr.Speedup
-			res.BestWalks = w
-		}
-	}
+	res.KernelCoversPerSec = 1e9 / res.KernelNsPerCover
+	res.Speedup = res.SeqNsPerCover / res.KernelNsPerCover
 	return res
 }
 
@@ -769,8 +720,7 @@ func main() {
 	sweepN := flag.Int("sweep-n", 2000, "vertices per point in the sweep benchmark")
 	largeN := flag.Int("large-n", 100000, "vertices for the large-n cover section")
 	reps := flag.Int("reps", benchReps, "repetitions per benchmark (median reported)")
-	batchNs := flag.String("batch-n", "2000,5000", "comma-separated graph sizes for the batched multi-walk section")
-	batchW := flag.Int("batch-w", 8, "concurrent walks in the batched multi-walk section")
+	batchNs := flag.String("batch-n", "2000,5000", "comma-separated graph sizes for the Uniform cover kernel section")
 	compare := flag.String("compare", "", "baseline BENCH_*.json: print interleaved A/B deltas instead of writing a report")
 	compareRounds := flag.Int("compare-rounds", 3, "interleaved rounds in -compare mode (min reported)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
@@ -863,7 +813,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bench: bad -batch-n entry %q\n", s)
 			os.Exit(2)
 		}
-		report.Batch = append(report.Batch, benchBatch(bn, *d, *batchW, benchReps))
+		report.Kernel = append(report.Kernel, benchKernel(bn, *d, benchReps))
 	}
 	report.Sweep = benchSweep(*sweepPoints, *sweepN, *d, *trials)
 	report.Footprint = measureFootprint(*coverN, *d)
@@ -912,13 +862,9 @@ func main() {
 	fmt.Printf("  cover n=%d d=%d: %.0f vertex steps (%.2f·n), %.0f edge steps\n",
 		report.Cover.N, report.Cover.Degree, report.Cover.MeanVertexSteps,
 		report.Cover.VertexStepsPerN, report.Cover.MeanEdgeSteps)
-	for _, br := range report.Batch {
-		fmt.Printf("  batch n=%d d=%d: seq %.0f ns/cover (%.0f covers/s)", br.N, br.Degree,
-			br.SeqNsPerCover, br.SeqCoversPerSec)
-		for _, wr := range br.Widths {
-			fmt.Printf("; w=%d %.0f ns (%.2fx)", wr.Walks, wr.NsPerCover, wr.Speedup)
-		}
-		fmt.Printf(" — best w=%d %.2fx\n", br.BestWalks, br.Speedup)
+	for _, kr := range report.Kernel {
+		fmt.Printf("  kernel n=%d d=%d: seq %.0f ns/cover, kernel %.0f ns/cover (%.2fx)\n",
+			kr.N, kr.Degree, kr.SeqNsPerCover, kr.KernelNsPerCover, kr.Speedup)
 	}
 	fmt.Printf("  sweep %d points × %d arms × %d trials (n=%d d=%d): per-arm-serial %.3fs, shared-graph ×%d workers %.3fs (%.2fx)\n",
 		report.Sweep.Points, report.Sweep.ArmsPerPoint, report.Sweep.TrialsPerPoint,

@@ -54,8 +54,10 @@ func intn[S Source](src S, n int) int {
 // routed through the generic uint64n: the generic instantiates by
 // gcshape and calls Uint64 through a dictionary, which blocks inlining
 // on the one generator every simulation hot loop uses. The concrete
-// body below inlines into devirtualized callers (walk.Batch.stepLane),
-// and is draw-for-draw identical to the generic path.
+// body below inlines into callers holding a concrete *Xoshiro256, and
+// is draw-for-draw identical to the generic path. (walk's Uniform cover
+// kernel goes one step further and replicates the update inline over
+// hoisted State words.)
 func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 	// The xoshiro update is fused in rather than calling Uint64: the
 	// generator's cost sits just above the compiler's inlining budget,

@@ -344,3 +344,45 @@ func TestPointTrialsOverride(t *testing.T) {
 		t.Fatalf("Seeds() = %d entries, want 2", n)
 	}
 }
+
+// Arm.RunBatch is ignored by the runner (it stays declared only for
+// source compatibility; see BatchArmFunc): an arm whose RunBatch
+// panics must still run through Run and give exactly Run's bytes.
+func TestRunnerIgnoresRunBatch(t *testing.T) {
+	panicBatch := func([]*graph.Graph, []*rng.Rand, *walk.Batch, int64) ([]Measurement, []error) {
+		panic("the runner called Arm.RunBatch")
+	}
+	e, ok := Lookup("scalecover")
+	if !ok {
+		t.Fatal("scalecover not registered")
+	}
+	encode := func(install bool) []byte {
+		plan, finish, err := e.Plan(ExpConfig{Seed: 2012, Trials: 3, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pi := range plan.Points {
+			for ai := range plan.Points[pi].Arms {
+				if install {
+					plan.Points[pi].Arms[ai].RunBatch = panicBatch
+				}
+			}
+		}
+		points, err := plan.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := finish(points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if want, got := encode(false), encode(true); !bytes.Equal(got, want) {
+		t.Errorf("plan with RunBatch installed differs from Run-only plan:\n--- Run ---\n%s--- with RunBatch ---\n%s", want, got)
+	}
+}

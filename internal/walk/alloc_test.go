@@ -121,4 +121,30 @@ func TestCoverLoopZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Reset+Cover trial loop allocates %.1f objects, want 0", allocs)
 	}
+	// The Uniform kernel's trial loop: one generator streams through
+	// successive trials, the scratch's pending arena and seen-bitset are
+	// reused.
+	x := rng.NewXoshiro256(14)
+	for name, run := range map[string]func() error{
+		"UniformCover": func() error {
+			_, err := sc.UniformCover(g, x, 0, 0)
+			return err
+		},
+		"UniformVertexCover": func() error {
+			_, err := sc.UniformVertexCover(g, x, 0, 0)
+			return err
+		},
+	} {
+		if err := run(); err != nil { // warm scratch
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s trial loop allocates %.1f objects, want 0", name, allocs)
+		}
+	}
 }

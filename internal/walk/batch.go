@@ -1,433 +1,60 @@
 package walk
 
-import (
-	"fmt"
-	mbits "math/bits"
-
-	"repro/internal/bits"
-	"repro/internal/graph"
-	"repro/internal/rng"
-)
+import "repro/internal/graph"
 
 // Lane describes one walk of a Batch run: the frozen graph it walks,
-// its private random source, and its start vertex. Lanes may all share
-// one graph (many token walks over one CSR — the load-balancing and
-// coalescence workloads) or each carry their own (the sweep runner
-// batching the trials of one point, where every trial derives its own
-// instance); lane state is fully private either way, so the two shapes
-// are the same engine.
+// its private random source, and its start vertex.
 type Lane struct {
 	G     *graph.Graph
 	R     Intner
 	Start int
 }
 
-// LaneOutcome is one lane's cover result, exactly what the sequential
-// CoverScratch drivers return for the same (graph, generator, start,
-// budget): the cover times observed, the total steps taken, and the
-// budget error (wrapping ErrStepBudget, message byte-identical to the
-// sequential driver's) when the run was censored.
+// LaneOutcome is one lane's cover result, exactly what the CoverScratch
+// drivers return for the same (graph, generator, start, budget): the
+// cover times observed, the total steps taken, and the budget error
+// (wrapping ErrStepBudget) when the run was censored.
 type LaneOutcome struct {
 	Steps int64
 	Times CoverTimes
 	Err   error
 }
 
-// laneState is the per-lane slice-and-view bundle of a Batch run. The
-// backing storage lives in the Batch's shared arenas; the struct holds
-// only headers and pointers, and stepLane hoists them into locals for
-// the duration of a chunk.
-type laneState struct {
-	pend  []graph.Half // per-vertex pending blocks: the unvisited incident edges
-	end   []int32      // pending end cursors
-	off   []int32      // graph CSR offsets (shared, read-only)
-	csr   []graph.Half // graph frozen halves (shared, read-only; red draws only)
-	seenV *bits.Set    // cover-driver seen vertices
-	r     Intner
-	xr    *rng.Xoshiro256 // non-nil: devirtualized draw path for r
-}
-
-// Batch advances W independent Uniform-rule E-processes in chunked
-// lockstep: each pass gives every live lane a burst of batchChunk steps
-// with its hot state hoisted into locals, so lanes that share a graph
-// revisit each other's freshly fetched CSR blocks while each lane's own
-// step loop stays as tight as the sequential engine's. Per-lane state
-// is structure-of-arrays: packed current-vertex/step/budget vectors
-// indexed by lane, seen-vertex bitsets carved from a single bits.Arena,
-// and one shared pending arena partitioned per lane.
-//
-// Where the sequential engine keeps a visited-edge bitset and lazily
-// prunes stale halves out of a pending block every time the walk stands
-// on its owner (the dominant cost of a full cover under the profiler),
-// the batch engine deletes a visited edge's two halves in near-O(1):
-// the chosen half at selection, and the other half on the arrival that
-// immediately follows, found by scanning the arrival block for the one
-// known edge ID — a handful of sequential compares against entries the
-// arrival loads anyway, no bitset probes at all. That is exact because
-// staleness in the sequential engine is degenerate: a half of v goes
-// stale only when the walk crosses that edge from the other endpoint —
-// and that crossing moves the walk to v itself, whose very next prune
-// removes it. Every sequential prune scan therefore removes exactly
-// the one just-crossed twin (or nothing), with the same swap-with-last
-// the targeted deletion uses, so block arrangements — and hence every
-// bounded draw over them — are byte-identical between the two engines.
-//
-// Dropping the bitsets pays twice more. A pending block holds exactly
-// the unvisited incident edges at all times, so a blue step always
-// covers a new edge and a red step (pending empty: every incident edge
-// already crossed) never does — edge-cover accounting is a bare counter
-// with no seen-edge set. And because pending entries are the halves
-// themselves, a blue step's one 8-byte load yields the destination and
-// the edge ID together; the CSR is only read on red steps.
-//
-// Determinism: each lane consumes randomness exactly as the sequential
-// fused-Uniform EProcess does — deletion draws nothing, a blue step
-// draws one bounded int over the pending count, a red step one over the
-// full adjacency — so every lane's trajectory is draw-for-draw
-// identical to a sequential run with the same generator. The batch
-// reorders memory traffic, never RNG consumption. golden_test.go pins
-// this against the recorded math/rand trajectories and batch_test.go
-// against the sequential drivers over randomized shapes.
-//
-// The zero value is ready to use; arenas grow on demand and are reused
-// across runs, so a worker batching run after run stops allocating once
-// its largest shape has been seen. A Batch is not safe for concurrent
-// use, and the Lane generators must not be shared between lanes.
+// Batch runs one Uniform-rule E-process cover per Lane through the
+// CoverScratch kernel (UniformCover / UniformVertexCover), one after
+// another over one reused scratch. New code should call the kernel
+// directly; Batch stays for callers written against the lane API. The
+// zero value is ready to use; a Batch is not safe for concurrent use,
+// and the Lane generators must not be shared between lanes.
 type Batch struct {
-	// Hot per-lane vectors, indexed by lane.
-	cur    []uint32
-	steps  []int64
-	budget []int64
-	leftV  []int32
-	leftE  []int32
-	tpend  []int64 // edge ID whose second half awaits deletion at cur, -1 none
-	lanes  []laneState
-	outs   []LaneOutcome
-	active []int32 // indices of lanes still running, swap-compacted
-
-	// Shared arenas partitioned across lanes each run.
-	pendArena []graph.Half
-	endArena  []int32
-	sets      bits.Arena
-	sizes     []int
-
+	sc CoverScratch
 	// trace, when non-nil, observes every transition as (lane, edgeID,
-	// vertex) — the golden-trajectory tests' window into the engine.
-	// Production callers leave it nil.
+	// vertex) — the golden-trajectory tests' window into the kernel.
 	trace func(lane, edgeID, vertex int)
 }
 
 // Cover runs every lane until its vertices and edges are both covered
 // (or its budget censors it) and returns one outcome per lane, in lane
-// order. maxSteps <= 0 means each lane gets the sequential drivers'
-// default budget for its own graph.
+// order. maxSteps <= 0 means each lane gets the default budget for its
+// own graph.
 func (b *Batch) Cover(lanes []Lane, maxSteps int64) []LaneOutcome {
 	return b.run(lanes, maxSteps, true)
 }
 
-// VertexCover is Cover but stops each lane at vertex cover, matching
-// the sequential VertexCoverSteps driver (budget default and error
-// message included).
+// VertexCover is Cover but stops each lane at vertex cover.
 func (b *Batch) VertexCover(lanes []Lane, maxSteps int64) []LaneOutcome {
 	return b.run(lanes, maxSteps, false)
 }
 
-// sized returns a length-n slice reusing s's storage when it suffices.
-// Contents are unspecified; run's init loop assigns every element.
-func sized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 func (b *Batch) run(lanes []Lane, maxSteps int64, edges bool) []LaneOutcome {
-	w := len(lanes)
-	b.cur = sized(b.cur, w)
-	b.steps = sized(b.steps, w)
-	b.budget = sized(b.budget, w)
-	b.leftV = sized(b.leftV, w)
-	b.leftE = sized(b.leftE, w)
-	b.tpend = sized(b.tpend, w)
-	b.lanes = sized(b.lanes, w)
-	b.outs = sized(b.outs, w)
-	b.active = sized(b.active, 0)
-
-	// Partition the shared arenas: one CSR-sized pending block and one
-	// end-cursor table per lane, plus a seen-vertex bitset view.
-	pendTotal, endTotal := 0, 0
-	b.sizes = b.sizes[:0]
-	for i := range lanes {
-		g := lanes[i].G
-		pendTotal += len(g.Halves()) // freezes g if needed
-		endTotal += g.N()
-		b.sizes = append(b.sizes, g.N())
-	}
-	b.pendArena = sized(b.pendArena, pendTotal)
-	b.endArena = sized(b.endArena, endTotal)
-	views := b.sets.Carve(b.sizes)
-
-	po, eo := 0, 0
-	for i := range lanes {
-		g := lanes[i].G
-		src, off := g.Halves(), g.Offsets()
-		n, m := g.N(), g.M()
-		ln := &b.lanes[i]
-		ln.pend = b.pendArena[po : po+len(src)]
-		copy(ln.pend, src)
-		po += len(src)
-		ln.end = b.endArena[eo : eo+n]
-		copy(ln.end, off[1:])
-		eo += n
-		ln.off, ln.csr, ln.r = off, src, lanes[i].R
-		// Devirtualize the draw path for the generator every sim arm
-		// uses. rng.Rand delegates Intn to its source unchanged, so
-		// unwrapping preserves the stream exactly.
-		switch s := lanes[i].R.(type) {
-		case *rng.Xoshiro256:
-			ln.xr = s
-		case *rng.Rand:
-			ln.xr, _ = s.Source().(*rng.Xoshiro256)
-		default:
-			ln.xr = nil
-		}
-		ln.seenV = &views[i]
-
-		start := lanes[i].Start
-		b.cur[i] = uint32(start)
-		b.steps[i] = 0
-		b.tpend[i] = -1
-		b.outs[i] = LaneOutcome{}
-		ln.seenV.Set(start) // the start vertex counts as visited at step 0
-		b.leftV[i] = int32(n - 1)
-		if edges {
-			b.leftE[i] = int32(m)
-		} else {
-			b.leftE[i] = 0
-		}
-		switch {
-		case maxSteps > 0:
-			b.budget[i] = maxSteps
-		case edges:
-			b.budget[i] = defaultBudget(n + m)
-		default:
-			b.budget[i] = defaultBudget(n)
-		}
-		if b.leftV[i] > 0 || b.leftE[i] > 0 {
-			b.active = append(b.active, int32(i))
-		}
-	}
-
-	// Chunked lockstep drive: each pass hands every live lane a burst of
-	// batchChunk steps, then swap-compacts finished and censored lanes
-	// out of the active list, so the tail of a run (a few slow lanes)
-	// costs no passes over dead ones.
-	for len(b.active) > 0 {
-		alive := b.active
-		k := 0
-		for _, li := range alive {
-			if b.stepLane(int(li), edges) {
-				continue
-			}
-			alive[k] = li
-			k++
-		}
-		b.active = alive[:k]
-	}
-
-	out := make([]LaneOutcome, w)
-	copy(out, b.outs)
-	return out
-}
-
-// batchChunk is how many steps a lane advances per scheduling pass:
-// large enough that the lane's packed vectors and bitset stay hot in
-// L1 across the burst and the per-chunk writeback amortises to noise,
-// small enough that lanes sharing a graph keep revisiting each other's
-// recently fetched CSR blocks.
-const batchChunk = 256
-
-// stepLane advances lane l by up to batchChunk steps and reports
-// whether the lane finished (covered or censored). All hot state is
-// hoisted into locals for the burst; cross-chunk state is written back
-// once on exit.
-func (b *Batch) stepLane(l int, edges bool) bool {
-	ln := &b.lanes[l]
-	pend, end, off, csr := ln.pend, ln.end, ln.off, ln.csr
-	seenV := ln.seenV
-	r, xr := ln.r, ln.xr
-	cur := int(b.cur[l])
-	steps := b.steps[l]
-	budget := b.budget[l]
-	leftV, leftE := b.leftV[l], b.leftE[l]
-	tp := b.tpend[l]
-
-	// Hoist the generator state into registers for the burst: the draw
-	// below is the xoshiro256** update plus Lemire reduction replicated
-	// inline (pinned by rng's TestStateInlineUpdateMatches and the walk
-	// golden tests), because at ~a dozen nanoseconds per step even one
-	// function call per draw is a measurable tax. Every exit from the
-	// chunk writes the words back before anything else can draw from xr.
-	var st *[4]uint64
-	var s0, s1, s2, s3 uint64
-	if xr != nil {
-		st = xr.State()
-		s0, s1, s2, s3 = st[0], st[1], st[2], st[3]
-	}
-
-	// The budget check lifts out of the step loop: a burst never crosses
-	// the budget, and censoring is decided once per chunk.
-	burst := int64(batchChunk)
-	if rem := budget - steps; rem < burst {
-		burst = rem
-	}
-	if burst <= 0 {
-		if edges {
-			b.outs[l].Err = fmt.Errorf("%w: %d vertices, %d edges uncovered after %d steps",
-				ErrStepBudget, leftV, leftE, steps)
-		} else {
-			b.outs[l].Err = fmt.Errorf("%w: %d vertices unvisited after %d steps",
-				ErrStepBudget, leftV, steps)
-		}
-		b.outs[l].Steps = steps
-		return true
-	}
-
-	for c := int64(0); c < burst; c++ {
-		v := cur
-		lo, hi := off[v], end[v]
-		// Apply the deferred deletion: the blue step that brought the
-		// walk here left the crossed edge's other half in this very
-		// block (that is the single-staleness argument above), and the
-		// sequential engine's arrival prune removes it now, before the
-		// draw. Same swap-with-last, located by its known edge ID in
-		// entries the arrival loads anyway.
-		if tp >= 0 {
-			t := uint32(tp)
-			tp = -1
-			hi--
-			p := lo
-			for pend[p].ID != t {
-				p++
-			}
-			pend[p] = pend[hi]
-			end[v] = hi
-		}
-		var h graph.Half
-		if cnt := int(hi - lo); cnt > 0 {
-			// Blue: one draw over the pruned block, exactly the
-			// sequential fused path's bounded int (pruning consumed no
-			// randomness), then the selection's own swap-with-last. The
-			// chosen edge's other half is left for the next arrival.
-			var j int32
-			if st != nil {
-				un := uint64(cnt)
-				res := mbits.RotateLeft64(s1*5, 7) * 9
-				t64 := s1 << 17
-				s2 ^= s0
-				s3 ^= s1
-				s1 ^= s2
-				s0 ^= s3
-				s2 ^= t64
-				s3 = mbits.RotateLeft64(s3, 45)
-				hi64, lo64 := mbits.Mul64(res, un)
-				if lo64 < un {
-					thresh := -un % un
-					for lo64 < thresh {
-						res = mbits.RotateLeft64(s1*5, 7) * 9
-						t64 = s1 << 17
-						s2 ^= s0
-						s3 ^= s1
-						s1 ^= s2
-						s0 ^= s3
-						s2 ^= t64
-						s3 = mbits.RotateLeft64(s3, 45)
-						hi64, lo64 = mbits.Mul64(res, un)
-					}
-				}
-				j = lo + int32(hi64)
-			} else {
-				j = lo + int32(r.Intn(cnt))
-			}
-			h = pend[j]
-			hi--
-			pend[j] = pend[hi]
-			end[v] = hi
-			tp = int64(h.ID)
-			// A pending block holds exactly the unvisited incident
-			// edges, so a blue step always covers a new edge: bare
-			// counter, no seen-edge set.
-			if leftE > 0 {
-				if leftE--; leftE == 0 {
-					b.outs[l].Times.Edge = steps + 1
-				}
-			}
-		} else {
-			// Red: SRW over the full adjacency. Pending empty means every
-			// incident edge is visited, so a red crossing never covers a
-			// new edge.
-			deg := off[v+1] - lo
-			if deg <= 0 {
-				// Isolated vertex: the sequential engine's Intn(0) panics;
-				// keep the inline path's behaviour identical.
-				panic("rng: Intn with non-positive bound")
-			}
-			if st != nil {
-				un := uint64(deg)
-				res := mbits.RotateLeft64(s1*5, 7) * 9
-				t64 := s1 << 17
-				s2 ^= s0
-				s3 ^= s1
-				s1 ^= s2
-				s0 ^= s3
-				s2 ^= t64
-				s3 = mbits.RotateLeft64(s3, 45)
-				hi64, lo64 := mbits.Mul64(res, un)
-				if lo64 < un {
-					thresh := -un % un
-					for lo64 < thresh {
-						res = mbits.RotateLeft64(s1*5, 7) * 9
-						t64 = s1 << 17
-						s2 ^= s0
-						s3 ^= s1
-						s1 ^= s2
-						s0 ^= s3
-						s2 ^= t64
-						s3 = mbits.RotateLeft64(s3, 45)
-						hi64, lo64 = mbits.Mul64(res, un)
-					}
-				}
-				h = csr[lo+int32(hi64)]
-			} else {
-				h = csr[lo+int32(r.Intn(int(deg)))]
-			}
-		}
-		cur = int(h.To)
-		steps++
+	out := make([]LaneOutcome, len(lanes))
+	for i, ln := range lanes {
+		b.sc.trace = nil
 		if b.trace != nil {
-			b.trace(l, int(h.ID), cur)
+			b.sc.trace = func(e, v int) { b.trace(i, e, v) }
 		}
-		if leftV > 0 && !seenV.Test(cur) {
-			seenV.Set(cur)
-			if leftV--; leftV == 0 {
-				b.outs[l].Times.Vertex = steps
-			}
-		}
-		if leftV|leftE == 0 {
-			b.outs[l].Steps = steps
-			if st != nil {
-				st[0], st[1], st[2], st[3] = s0, s1, s2, s3
-			}
-			return true
-		}
+		steps, ct, err := b.sc.uniform(ln.G, ln.R, ln.Start, maxSteps, edges)
+		out[i] = LaneOutcome{Steps: steps, Times: ct, Err: err}
 	}
-	b.cur[l] = uint32(cur)
-	b.steps[l] = steps
-	b.leftV[l] = leftV
-	b.leftE[l] = leftE
-	b.tpend[l] = tp
-	if st != nil {
-		st[0], st[1], st[2], st[3] = s0, s1, s2, s3
-	}
-	return false
+	return out
 }

@@ -8,9 +8,9 @@ import (
 	"repro/internal/rng"
 )
 
-// batchWidths are the batch widths the batched-vs-sequential property
-// tests sweep, per the batch engine's contract: degenerate (1), odd and
-// small (3), the sim default (8), and far beyond any trial count (64).
+// batchWidths are the lane counts the kernel-vs-sequential property
+// tests sweep: degenerate (1), odd and small (3), 8, and far beyond any
+// trial count (64), so one reused scratch serves many shapes in a row.
 var batchWidths = []int{1, 3, 8, 64}
 
 // seqCover runs the sequential driver with an identically-derived
@@ -148,7 +148,7 @@ func TestBatchMatchesSequentialSharedGraph(t *testing.T) {
 }
 
 // TestBatchShapeChurn re-runs one Batch across runs whose lane counts
-// and graph sizes grow and shrink, so the arena repartitioning cannot
+// and graph sizes grow and shrink, so the reused kernel scratch cannot
 // leak state between shapes.
 func TestBatchShapeChurn(t *testing.T) {
 	small := mustRegular(t, newRand(31), 36, 4)

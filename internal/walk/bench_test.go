@@ -87,27 +87,21 @@ func BenchmarkEProcessFullVertexCoverReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchCover8 runs 8 full covers per op through the batched
-// engine on one shared graph — compare against 8× the per-op time of
-// BenchmarkEProcessFullVertexCoverReuse for the batching win. The
-// cmd/bench batch section measures the same shape with outcome
-// verification against the sequential engine.
-func BenchmarkBatchCover8(b *testing.B) {
-	const W = 8
+// BenchmarkKernelFullVertexCover is BenchmarkEProcessFullVertexCoverReuse
+// through the Uniform cover kernel: same graph, same trial loop, one
+// reused CoverScratch — the gap between the two is the kernel's exact
+// pending deletion against EProcess's lazy prune. The cmd/bench kernel
+// section measures the same shape with outcome verification against
+// EProcess.
+func BenchmarkKernelFullVertexCover(b *testing.B) {
 	g := mustRegular(b, newRand(9), 5000, 4)
 	g.Freeze()
-	var bt Batch
-	lanes := make([]Lane, W)
+	var sc CoverScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for w := range lanes {
-			lanes[w] = Lane{G: g, R: rng.NewXoshiro256(uint64(100 + w)), Start: 0}
-		}
-		for _, o := range bt.VertexCover(lanes, 0) {
-			if o.Err != nil {
-				b.Fatal(o.Err)
-			}
+		if _, err := sc.UniformVertexCover(g, rng.NewXoshiro256(11), 0, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -49,25 +49,22 @@
 // conveniences. internal/walk/alloc_test.go pins all of this with
 // testing.AllocsPerRun.
 //
-// # Batched multi-walk engine
+// # Uniform cover kernel
 //
-// Batch advances W independent Uniform-rule E-processes in chunked
-// lockstep (Batch.Cover / Batch.VertexCover, one Lane per walk). The
-// point is memory-level parallelism on the cover workload: a single
-// walk's blue step is a dependent chain of cache misses across the
-// pending arena, while W interleaved walks keep W misses in flight and
-// lanes sharing a graph revisit each other's freshly fetched CSR lines.
-// The batch engine also replaces the sequential engine's lazy
+// CoverScratch.UniformCover and UniformVertexCover run a Uniform-rule
+// E-process cover in one loop over the scratch's own pending arena,
+// without building a process. They replace EProcess's lazy
 // prune-on-arrival (the profiler-dominant cost of a full cover) with
-// exact near-O(1) deletion of each crossed edge's two halves, dropping
-// the visited-edge bitset entirely — see the type comment on Batch for
-// the staleness argument. Determinism is non-negotiable and pinned by
-// golden_test.go and batch_test.go: every lane consumes randomness
-// draw-for-draw exactly as a sequential fused-Uniform EProcess with the
-// same generator, so batching reorders memory traffic, never results.
-// The sim sweep runner batches trials of one (point, arm) through this
-// engine when the arm opts in (sim.Arm.RunBatch); tables are
-// byte-identical at every batch width.
+// exact near-O(1) deletion of each crossed edge's two halves and drop
+// the visited-edge bitset entirely — exact because a pending half only
+// ever goes stale through the crossing that lands the walk on its owner,
+// whose very next prune removes it (see UniformCover for the full
+// single-staleness argument). Determinism is non-negotiable and pinned
+// by golden_test.go and batch_test.go: the kernel consumes randomness
+// draw-for-draw exactly as a fused-Uniform EProcess with the same
+// generator, so it changes memory traffic, never results. The sim
+// sweep runner's Uniform E-process arms run through it; Batch is a
+// thin per-lane loop over the same kernel.
 //
 // # Randomness
 //

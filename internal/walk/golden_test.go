@@ -155,13 +155,12 @@ func TestFusedPathMatchesGenericPath(t *testing.T) {
 	}
 }
 
-// TestBatchGoldenLaneTrajectory extends the golden pin to the batched
-// engine: a Batch lane driven by rand.NewSource(42) on the golden graph
-// must replay goldenEProcess step for step, even while other lanes with
-// other seeds interleave with it — the batch reorders memory traffic
-// between lanes, never RNG consumption within one. The trace hook
-// records every transition; only lane 0 is golden-checked, the
-// neighbours exist to perturb the interleaving.
+// TestBatchGoldenLaneTrajectory extends the golden pin to the Uniform
+// cover kernel: a Batch lane driven by rand.NewSource(42) on the golden
+// graph must replay goldenEProcess step for step — exact pending
+// deletion changes memory traffic, never RNG consumption. The kernel's
+// trace hook records every transition; only lane 0 is golden-checked,
+// the neighbours share its reused scratch.
 func TestBatchGoldenLaneTrajectory(t *testing.T) {
 	g := goldenGraph(t)
 	var bt Batch
@@ -190,7 +189,7 @@ func TestBatchGoldenLaneTrajectory(t *testing.T) {
 			break
 		}
 		if w := goldenEProcess[i]; got != w {
-			t.Fatalf("batched lane 0: step %d = (%d,%d), golden (%d,%d) — batching changed RNG consumption",
+			t.Fatalf("kernel lane 0: step %d = (%d,%d), golden (%d,%d) — the kernel changed RNG consumption",
 				i, got.e, got.v, w.e, w.v)
 		}
 	}

@@ -29,13 +29,21 @@ type Process interface {
 }
 
 // CoverScratch holds the seen-vertex/seen-edge bitsets the cover
-// drivers need, so a caller running many trials (e.g. a sim worker)
+// drivers need, plus the Uniform kernel's pending arena (see
+// UniformCover), so a caller running many trials (e.g. a sim worker)
 // reuses one allocation instead of paying O(n+m) garbage per trial.
 // The zero value is ready to use; it grows on demand and is not safe
 // for concurrent use.
 type CoverScratch struct {
 	seenV bits.Set
 	seenE bits.Set
+	pend  []graph.Half // kernel pending blocks: the unvisited incident halves
+	end   []int32      // kernel pending end cursors, one per vertex
+
+	// trace, when non-nil, observes every kernel transition as
+	// (edgeID, vertex) — the golden-trajectory tests' window into the
+	// kernel. Production callers leave it nil.
+	trace func(edgeID, vertex int)
 }
 
 // scratchPool recycles CoverScratch values behind the package-level
