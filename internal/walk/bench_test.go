@@ -88,19 +88,20 @@ func BenchmarkEProcessFullVertexCoverReuse(b *testing.B) {
 }
 
 // BenchmarkKernelFullVertexCover is BenchmarkEProcessFullVertexCoverReuse
-// through the Uniform cover kernel: same graph, same trial loop, one
-// reused CoverScratch — the gap between the two is the kernel's exact
-// pending deletion against EProcess's lazy prune. The cmd/bench kernel
-// section measures the same shape with outcome verification against
-// EProcess.
+// through the Uniform cover kernel: same graph, same generator stream,
+// hence the same trajectories, one reused CoverScratch — the gap
+// between the two is the kernel's exact pending deletion against
+// EProcess's lazy prune. The cmd/bench kernel section measures the same
+// shape with outcome verification against EProcess.
 func BenchmarkKernelFullVertexCover(b *testing.B) {
 	g := mustRegular(b, newRand(9), 5000, 4)
 	g.Freeze()
+	x := rng.NewXoshiro256(11)
 	var sc CoverScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sc.UniformVertexCover(g, rng.NewXoshiro256(11), 0, 0); err != nil {
+		if _, err := sc.UniformVertexCover(g, x, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
