@@ -8,6 +8,13 @@
 //	sweep -list                     # list experiment names
 //	sweep -exp all -json out/       # also dump one JSON Result per experiment
 //	sweep -exp all -v               # progress (units done/total) on stderr
+//	sweep -report report.md         # also write the paper's record as markdown
+//
+// -report FILE writes one markdown document — a title, the seed,
+// trials and scale, then one section per experiment in run order with
+// its table and notes — once every selected experiment has finished,
+// so an interrupted run leaves no partial report. It works on plain and
+// -merge runs.
 //
 // Within one process, every experiment is a point-level sweep: all
 // (point, trial) units share one worker pool (-workers), and results
@@ -31,7 +38,7 @@
 //
 //	sweep -exp scalecover -scale 64 -shard 0/2@points -checkpoint a   # machine A
 //	sweep -exp scalecover -scale 64 -shard 1/2@points -checkpoint b   # machine B
-//	sweep -exp scalecover -scale 64 -merge a,b -json out/             # anywhere
+//	sweep -exp scalecover -scale 64 -merge a,b -json out/ -report r.md  # anywhere
 //
 // An interrupt (Ctrl-C) cancels the run promptly: in-flight units
 // finish, queued work is dropped, and the process exits with an error.
@@ -52,18 +59,20 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/sim"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(exitCode(err))
 	}
@@ -163,8 +172,8 @@ func selectExperiments(expList string) ([]sim.Experiment, error) {
 // cliFlags are the flag combinations validate checks, separated from
 // run so the CLI tests can pin the usage-error surface directly.
 type cliFlags struct {
-	shard, ckDir, merge, jsonDir string
-	resume                       bool
+	shard, ckDir, merge, jsonDir, report string
+	resume                               bool
 }
 
 // validate rejects inconsistent flag combinations fast, with usage
@@ -192,6 +201,9 @@ func (f cliFlags) validate() (shardSpec, error) {
 	if spec.points && f.jsonDir != "" {
 		return spec, usagef("-shard i/m@points journals units only and writes no Results; use `-merge ... -json %s` after all shards finish", f.jsonDir)
 	}
+	if spec.points && f.report != "" {
+		return spec, usagef("-shard i/m@points journals units only and writes no report; use `-merge ... -report %s` after all shards finish", f.report)
+	}
 	return spec, nil
 }
 
@@ -206,12 +218,12 @@ func progressOpts(name string, verbose bool) sim.RunOptions {
 
 // printResult writes one experiment's table, notes and optional JSON
 // dump — the shared output path of plain, resumed and merged runs.
-func printResult(res *sim.Result, jsonDir string) error {
-	if err := res.Table.WriteText(os.Stdout); err != nil {
+func printResult(stdout io.Writer, res *sim.Result, jsonDir string) error {
+	if err := res.Table.WriteText(stdout); err != nil {
 		return err
 	}
 	for _, note := range res.Notes {
-		fmt.Println(note)
+		fmt.Fprintln(stdout, note)
 	}
 	if jsonDir != "" {
 		if err := res.WriteFile(filepath.Join(jsonDir, res.Name+".json")); err != nil {
@@ -221,26 +233,45 @@ func printResult(res *sim.Result, jsonDir string) error {
 	return nil
 }
 
-func run() error {
+// writeReport writes the -report markdown document for results to
+// path in one write.
+func writeReport(path string, cfg sim.ExpConfig, results []*sim.Result) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "# Paper reproduction report\n\n")
+	fmt.Fprintf(&b, "Generated %s · seed %d · trials %d · scale %d\n\n",
+		time.Now().Format(time.RFC3339), cfg.Seed, cfg.Trials, cfg.Scale)
+	for _, res := range results {
+		if err := res.WriteMarkdown(&b); err != nil {
+			return err
+		}
+	}
+	return os.WriteFile(path, []byte(b.String()), 0o644)
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	var (
-		expList = flag.String("exp", "all", "comma-separated experiment names, or 'all'")
-		scale   = flag.Int("scale", 1, "problem size multiplier (1 = CI scale)")
-		trials  = flag.Int("trials", 5, "trials per point")
-		seed    = flag.Uint64("seed", 2012, "master seed")
-		workers = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		shard   = flag.String("shard", "", "run shard i of m, as 'i/m' (contiguous blocks of the selected experiments) or 'i/m@points' (point-level units within every experiment; requires -checkpoint)")
-		ckDir   = flag.String("checkpoint", "", "journal completed (point, trial) units under DIR/<exp>/ so an interrupted run can be resumed")
-		resume  = flag.Bool("resume", false, "with -checkpoint: restore completed units from the existing journals and run only the rest")
-		merge   = flag.String("merge", "", "comma-separated -checkpoint dirs of point-level shards; stitch their journals into the canonical tables without re-running walks")
-		list    = flag.Bool("list", false, "list experiments and exit")
-		jsonDir = flag.String("json", "", "also write one JSON Result per experiment into this directory")
-		verbose = flag.Bool("v", false, "report sweep progress (units done/total) on stderr")
+		expList = fs.String("exp", "all", "comma-separated experiment names, or 'all'")
+		scale   = fs.Int("scale", 1, "problem size multiplier (1 = CI scale)")
+		trials  = fs.Int("trials", 5, "trials per point")
+		seed    = fs.Uint64("seed", 2012, "master seed")
+		workers = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		shard   = fs.String("shard", "", "run shard i of m, as 'i/m' (contiguous blocks of the selected experiments) or 'i/m@points' (point-level units within every experiment; requires -checkpoint)")
+		ckDir   = fs.String("checkpoint", "", "journal completed (point, trial) units under DIR/<exp>/ so an interrupted run can be resumed")
+		resume  = fs.Bool("resume", false, "with -checkpoint: restore completed units from the existing journals and run only the rest")
+		merge   = fs.String("merge", "", "comma-separated -checkpoint dirs of point-level shards; stitch their journals into the canonical tables without re-running walks")
+		list    = fs.Bool("list", false, "list experiments and exit")
+		jsonDir = fs.String("json", "", "also write one JSON Result per experiment into this directory")
+		report  = fs.String("report", "", "also write a markdown report (one section per experiment) to this file once every experiment has finished")
+		verbose = fs.Bool("v", false, "report sweep progress (units done/total) on stderr")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 
 	if *list {
 		for _, e := range sim.Registry() {
-			fmt.Printf("%-8s %s\n", e.Name, e.Desc)
+			fmt.Fprintf(stdout, "%-8s %s\n", e.Name, e.Desc)
 		}
 		return nil
 	}
@@ -249,7 +280,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	spec, err := cliFlags{shard: *shard, ckDir: *ckDir, merge: *merge, jsonDir: *jsonDir, resume: *resume}.validate()
+	spec, err := cliFlags{shard: *shard, ckDir: *ckDir, merge: *merge, jsonDir: *jsonDir, report: *report, resume: *resume}.validate()
 	if err != nil {
 		return err
 	}
@@ -268,34 +299,6 @@ func run() error {
 
 	cfg := sim.ExpConfig{Seed: *seed, Trials: *trials, Scale: *scale, Workers: *workers}
 
-	// Merge mode: stitch the per-experiment journals of finished
-	// point-level shards into the canonical output.
-	if *merge != "" {
-		var parents []string
-		for _, d := range strings.Split(*merge, ",") {
-			if d = strings.TrimSpace(d); d != "" {
-				parents = append(parents, d)
-			}
-		}
-		for i, e := range selected {
-			if i > 0 {
-				fmt.Println()
-			}
-			dirs := make([]string, len(parents))
-			for j, p := range parents {
-				dirs[j] = filepath.Join(p, e.Name)
-			}
-			res, err := sim.MergeShards(ctx, e, cfg, dirs, progressOpts(e.Name, *verbose))
-			if err != nil {
-				return fmt.Errorf("%s: %w", e.Name, err)
-			}
-			if err := printResult(res, *jsonDir); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	// Point-level sharding: run each selected experiment's shard of the
 	// (point, trial) unit space and journal it; no tables are printed —
 	// a strict subset of the units cannot be aggregated. Merge the
@@ -307,29 +310,48 @@ func run() error {
 			if err := e.RunShard(ctx, cfg, spec.Shard, opts); err != nil {
 				return fmt.Errorf("%s: %w", e.Name, err)
 			}
-			fmt.Printf("%s: journaled point shard %d/%d into %s\n", e.Name, spec.Index, spec.Count, opts.Checkpoint.Dir)
+			fmt.Fprintf(stdout, "%s: journaled point shard %d/%d into %s\n", e.Name, spec.Index, spec.Count, opts.Checkpoint.Dir)
 		}
 		return nil
 	}
 
+	// Merge mode stitches the per-experiment journals of finished
+	// point-level shards into the canonical output; otherwise each
+	// experiment runs (journaled under -checkpoint, if given).
 	if *shard != "" {
 		selected = shardSelect(selected, spec.Index, spec.Count)
 	}
-	for i, e := range selected {
-		if i > 0 {
-			fmt.Println()
-		}
+	var results []*sim.Result
+	for _, e := range selected {
 		opts := progressOpts(e.Name, *verbose)
-		if *ckDir != "" {
-			opts.Checkpoint = &sim.Checkpoint{Dir: filepath.Join(*ckDir, e.Name), Resume: *resume}
+		var res *sim.Result
+		if *merge != "" {
+			var dirs []string
+			for _, p := range strings.Split(*merge, ",") {
+				if p = strings.TrimSpace(p); p != "" {
+					dirs = append(dirs, filepath.Join(p, e.Name))
+				}
+			}
+			res, err = sim.MergeShards(ctx, e, cfg, dirs, opts)
+		} else {
+			if *ckDir != "" {
+				opts.Checkpoint = &sim.Checkpoint{Dir: filepath.Join(*ckDir, e.Name), Resume: *resume}
+			}
+			res, err = e.Run(ctx, cfg, opts)
 		}
-		res, err := e.Run(ctx, cfg, opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		if err := printResult(res, *jsonDir); err != nil {
+		if len(results) > 0 {
+			fmt.Fprintln(stdout)
+		}
+		if err := printResult(stdout, res, *jsonDir); err != nil {
 			return err
 		}
+		results = append(results, res)
+	}
+	if *report != "" {
+		return writeReport(*report, cfg, results)
 	}
 	return nil
 }

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -141,6 +145,7 @@ func TestValidateRejectsInconsistentFlags(t *testing.T) {
 		{"malformed shard spec", cliFlags{shard: "2/1"}, "shard"},
 		{"point shard without checkpoint", cliFlags{shard: "0/2@points"}, "needs -checkpoint"},
 		{"point shard with json", cliFlags{shard: "0/2@points", ckDir: "ck", jsonDir: "out"}, "no Results"},
+		{"point shard with report", cliFlags{shard: "0/2@points", ckDir: "ck", report: "r.md"}, "no report"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,6 +171,8 @@ func TestValidateRejectsInconsistentFlags(t *testing.T) {
 		{shard: "1/3", jsonDir: "out"},
 		{shard: "1/3@points", ckDir: "ck"},
 		{merge: "a,b", jsonDir: "out"},
+		{shard: "1/3", report: "r.md"},
+		{merge: "a,b", report: "r.md"},
 	} {
 		if _, err := f.validate(); err != nil {
 			t.Errorf("validate(%+v) = %v, want nil", f, err)
@@ -187,5 +194,66 @@ func TestExitCodeClassification(t *testing.T) {
 	}
 	if c := exitCode(fmt.Errorf("wrapped: %w", usagef("bad flags"))); c != 2 {
 		t.Errorf("exitCode(wrapped usage error) = %d, want 2", c)
+	}
+}
+
+// generatedTime masks the one run-dependent part of a -report document,
+// the timestamp on its Generated line.
+var generatedTime = regexp.MustCompile(`(?m)^Generated \S+ ·`)
+
+// runReport runs sweep with args plus -report into a temporary file and
+// returns the report with its timestamp masked.
+func runReport(t *testing.T, args ...string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "report.md")
+	if err := run(append(args, "-report", path), io.Discard); err != nil {
+		t.Fatalf("sweep %v: %v", args, err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return generatedTime.ReplaceAllString(string(b), "Generated <time> ·")
+}
+
+// The -report document is pinned byte for byte (timestamp masked) by
+// testdata/report.md, on a plain run and on a -merge of two point-level
+// shards.
+func TestReportGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "report.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := generatedTime.ReplaceAllString(string(golden), "Generated <time> ·")
+	base := []string{"-exp", "eq3,rulea", "-trials", "1", "-seed", "9"}
+
+	if got := runReport(t, base...); got != want {
+		t.Errorf("plain run report differs from %s:\n%s", "testdata/report.md", got)
+	}
+
+	dirs := []string{t.TempDir(), t.TempDir()}
+	for i, d := range dirs {
+		if err := run(append(base, "-shard", fmt.Sprintf("%d/2@points", i), "-checkpoint", d), io.Discard); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+	}
+	if got := runReport(t, append(base, "-merge", strings.Join(dirs, ","))...); got != want {
+		t.Errorf("merged report differs from %s:\n%s", "testdata/report.md", got)
+	}
+}
+
+// The report covers the paper's whole record: one section per registry
+// experiment, Figure 1 included.
+func TestReportCoversRegistry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tiny full-registry run still takes seconds")
+	}
+	report := runReport(t, "-trials", "1")
+	sections := regexp.MustCompile(`(?m)^## `).FindAllStringIndex(report, -1)
+	if len(sections) != len(sim.Registry()) {
+		t.Errorf("report has %d sections, registry has %d experiments", len(sections), len(sim.Registry()))
+	}
+	if !strings.Contains(report, "\n## FIG1 — ") {
+		t.Error("report lacks the Figure 1 section")
 	}
 }

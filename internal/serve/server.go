@@ -202,8 +202,9 @@ type RunRequest struct {
 	MaxSteps int64 `json:"max_steps,omitempty"`
 }
 
-// defaultSeed mirrors the batch CLIs (cmd/sweep, cmd/paperrun), so a
-// bare `curl /v1/run?exp=thm1` reproduces `sweep -exp thm1`.
+// defaultSeed mirrors the batch CLI (cmd/sweep, including its -report
+// document), so a bare `curl /v1/run?exp=thm1` reproduces
+// `sweep -exp thm1`.
 const defaultSeed = 2012
 
 // kindNames maps the request's RNG family names onto rng kinds.

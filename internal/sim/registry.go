@@ -15,7 +15,7 @@ import (
 // experiments*.go and figure1.go registers itself at init time under a
 // stable name, its CLI description, and its seed-salt namespace, and
 // exposes its sweep through a uniform Plan function. CLIs (cmd/sweep,
-// cmd/paperrun) and library users (package repro) enumerate Registry()
+// cmd/sweepd, cmd/reprod) and library users (package repro) enumerate Registry()
 // instead of maintaining name→wrapper lists by hand, and run any
 // experiment through the context-aware Experiment.Run / RunExperiment.
 
@@ -214,8 +214,36 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// WriteFile writes the result's JSON encoding to path — the shared
-// -json implementation of cmd/sweep and cmd/paperrun.
+// WriteMarkdown renders the result as one section of cmd/sweep's
+// -report document: a heading with the name and table title, the
+// reproduction stamp, the table as a pipe table (short rows padded to
+// the header width), and the notes as bullets.
+func (r *Result) WriteMarkdown(w io.Writer) error {
+	var b strings.Builder
+	t := r.Table
+	fmt.Fprintf(&b, "## %s — %s\n\n", strings.ToUpper(r.Name), t.Title)
+	fmt.Fprintf(&b, "_seed %d, %d trials, scale %d_\n\n", r.Seed, r.Trials, r.Scale)
+	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
+	b.WriteString("|" + strings.Repeat("---|", len(t.Headers)) + "\n")
+	cells := make([]string, len(t.Headers))
+	for _, row := range t.Rows {
+		clear(cells)
+		copy(cells, row)
+		b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
+	}
+	b.WriteString("\n")
+	for _, note := range r.Notes {
+		b.WriteString("- " + note + "\n")
+	}
+	if len(r.Notes) > 0 {
+		b.WriteString("\n")
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// WriteFile writes the result's JSON encoding to path — the -json
+// implementation of cmd/sweep.
 func (r *Result) WriteFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -229,8 +257,8 @@ func (r *Result) WriteFile(path string) error {
 }
 
 // StderrProgress returns RunOptions whose Progress callback reports
-// (units done / total) for the named experiment on stderr — the shared
-// -v implementation of cmd/sweep and cmd/paperrun.
+// (units done / total) for the named experiment on stderr — the -v
+// implementation of cmd/sweep.
 func StderrProgress(name string) RunOptions {
 	return RunOptions{Progress: func(done, total int) {
 		fmt.Fprintf(os.Stderr, "\r%s: %d/%d units", name, done, total)
@@ -248,23 +276,6 @@ func ReadResult(rd io.Reader) (*Result, error) {
 		return nil, fmt.Errorf("sim: decode result: %w", err)
 	}
 	return &r, nil
-}
-
-// Report bridges the result to the flat Report shape cmd/paperrun's
-// markdown rendering uses.
-func (r *Result) Report() Report {
-	rep := Report{
-		Name:    r.Name,
-		Title:   r.Table.Title,
-		Seed:    r.Seed,
-		Trials:  r.Trials,
-		Scale:   r.Scale,
-		Headers: append([]string(nil), r.Table.Headers...),
-	}
-	for _, row := range r.Table.Rows {
-		rep.Rows = append(rep.Rows, append([]string(nil), row...))
-	}
-	return rep
 }
 
 // adapt lifts a typed plan constructor — the (rows, table, error)

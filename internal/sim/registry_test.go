@@ -279,6 +279,48 @@ func TestResultJSONGoldenWorkerInvariantRoundTrip(t *testing.T) {
 	}
 }
 
+// WriteMarkdown renders one -report section: heading, stamp, pipe table
+// with short rows padded to the header width, then notes as bullets.
+func TestReportMarkdown(t *testing.T) {
+	tb := NewTable("Demo table", "n", "value")
+	tb.AddRow(100, 2.5)
+	tb.AddRow(200)
+	res := &Result{Name: "demo", Seed: 7, Trials: 3, Scale: 2, Table: tb, Notes: []string{"flat in n", "holds"}}
+	var buf bytes.Buffer
+	if err := res.WriteMarkdown(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "## DEMO — Demo table\n\n" +
+		"_seed 7, 3 trials, scale 2_\n\n" +
+		"| n | value |\n" +
+		"|---|---|\n" +
+		"| 100 | 2.5 |\n" +
+		"| 200 |  |\n" +
+		"\n" +
+		"- flat in n\n" +
+		"- holds\n" +
+		"\n"
+	if got := buf.String(); got != want {
+		t.Errorf("markdown:\n%q\nwant:\n%q", got, want)
+	}
+
+	// Without notes the section ends after the table's blank line.
+	res.Notes = nil
+	buf.Reset()
+	if err := res.WriteMarkdown(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), want[:strings.Index(want, "- ")]; got != want {
+		t.Errorf("markdown without notes:\n%q\nwant:\n%q", got, want)
+	}
+}
+
+func TestReadResultErrors(t *testing.T) {
+	if _, err := ReadResult(strings.NewReader("{not json")); err == nil {
+		t.Error("bad JSON should fail")
+	}
+}
+
 // --- wrappers delegate to the registry ------------------------------------
 
 // The thin ExpXxx wrappers and the registry must agree byte-for-byte.

@@ -27,7 +27,8 @@ func TestEProcessStepMathRandZeroAllocs(t *testing.T) {
 	}
 }
 
-// The fused Uniform prune+choose blue path must allocate nothing. A
+// The fused Uniform blue path (draw plus twin deletion, no Rule
+// dispatch) must allocate nothing. A
 // fresh E-process on a large graph takes (almost) only blue steps, so
 // pinning allocations over the first m/2 steps pins the fused path
 // specifically; the BlueSteps count proves the fast path actually ran.

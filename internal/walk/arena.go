@@ -26,9 +26,11 @@ func reuse[T any](s []T, n int) []T {
 // Invariants:
 //   - pending halves of v occupy halves[off[v]:end[v]], with
 //     off[v] <= end[v] <= off[v+1];
-//   - a half whose edge has been visited may linger in a pending block
-//     until that vertex is next pruned (lazy deletion, each half is
-//     removed at most once so total maintenance is O(m) per run);
+//   - EProcess deletes both halves of each crossed edge (remove, then
+//     removeEdge), so its blocks hold only unvisited halves; Biased
+//     lets a half whose edge has been visited linger until that vertex
+//     is next pruned (lazy deletion, each half is removed at most once
+//     so total maintenance is O(m) per run);
 //   - reset restores every block to the graph's full adjacency by one
 //     flat copy — no per-vertex allocation, and after the first reset
 //     no allocation at all.
@@ -55,14 +57,17 @@ func (a *edgeArena) reset(g *graph.Graph) {
 }
 
 // pending returns the live pending block of v. The slice aliases the
-// arena; it is invalidated by prune, remove, and reset.
+// arena; it is invalidated by prune, remove, removeEdge and reset.
 func (a *edgeArena) pending(v int) []graph.Half {
 	return a.halves[a.off[v]:a.end[v]]
 }
 
 // prune deletes (by swap with the block's last element) every pending
-// half of v whose edge is already visited. On an empty block the loop
-// body never runs, so callers need no emptiness pre-check.
+// half of v whose edge is already visited — Biased's lazy deletion,
+// needed because its non-preferring steps may cross unvisited edges
+// through the full adjacency, which can leave several stale halves in
+// one block. On an empty block the loop body never runs, so callers
+// need no emptiness pre-check.
 func (a *edgeArena) prune(v int, visited *bits.Set) {
 	lo, hi := a.off[v], a.end[v]
 	for i := lo; i < hi; {
@@ -82,4 +87,15 @@ func (a *edgeArena) remove(v, i int) {
 	hi := a.end[v] - 1
 	a.halves[a.off[v]+int32(i)] = a.halves[hi]
 	a.end[v] = hi
+}
+
+// removeEdge deletes v's pending half of edge id, if present, by the
+// same swap-with-last as remove.
+func (a *edgeArena) removeEdge(v int, id uint32) {
+	for i, h := range a.pending(v) {
+		if h.ID == id {
+			a.remove(v, i)
+			return
+		}
+	}
 }

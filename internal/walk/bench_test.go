@@ -90,8 +90,9 @@ func BenchmarkEProcessFullVertexCoverReuse(b *testing.B) {
 // BenchmarkKernelFullVertexCover is BenchmarkEProcessFullVertexCoverReuse
 // through the Uniform cover kernel: same graph, same generator stream,
 // hence the same trajectories, one reused CoverScratch — the gap
-// between the two is the kernel's exact pending deletion against
-// EProcess's lazy prune. The cmd/bench kernel section measures the same
+// between the two is the kernel's inline draw and bitset-free
+// bookkeeping against EProcess's per-step calls (both delete pending
+// halves exactly). The cmd/bench kernel section measures the same
 // shape with outcome verification against EProcess.
 func BenchmarkKernelFullVertexCover(b *testing.B) {
 	g := mustRegular(b, newRand(9), 5000, 4)

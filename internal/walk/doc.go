@@ -40,10 +40,12 @@
 // mirroring the CSR block (see edgeArena for the invariants), and Reset
 // refills that arena with one copy and clears bitsets in place — no
 // per-vertex allocation, and zero allocation from the second Reset on.
-// With the Uniform rule, EProcess.Step takes a fused fast path that
-// prunes the pending block and draws the crossed edge in one pass,
-// skipping the Rule interface dispatch; it is draw-for-draw identical
-// to the generic path. Callers that measure many trials reuse the
+// A blue step deletes both halves of the crossed edge from the arena
+// (the chosen half, then its twin at the far endpoint, found by edge
+// ID), so pending blocks never hold stale halves and the blue degree is
+// a block length. With the Uniform rule, EProcess.Step draws the
+// crossed edge directly, skipping the Rule interface dispatch; it is
+// draw-for-draw identical to the generic path. Callers that measure many trials reuse the
 // cover drivers' seen-bitsets through CoverScratch; the package-level
 // VertexCoverSteps/EdgeCoverSteps/Cover remain as one-shot
 // conveniences. internal/walk/alloc_test.go pins all of this with
@@ -53,13 +55,12 @@
 //
 // CoverScratch.UniformCover and UniformVertexCover run a Uniform-rule
 // E-process cover in one loop over the scratch's own pending arena,
-// without building a process. They replace EProcess's lazy
-// prune-on-arrival (the profiler-dominant cost of a full cover) with
-// exact near-O(1) deletion of each crossed edge's two halves and drop
-// the visited-edge bitset entirely — exact because a pending half only
-// ever goes stale through the crossing that lands the walk on its owner,
-// whose very next prune removes it (see UniformCover for the full
-// single-staleness argument). Determinism is non-negotiable and pinned
+// without building a process. They inline the generator, defer each
+// twin deletion to the arrival that follows the crossing (the block the
+// walk reads next anyway) and drop the visited-edge bitset entirely.
+// Deferring is exact because nothing touches the arrival block between
+// the crossing and the arrival's draw (see UniformCover for the full
+// argument). Determinism is non-negotiable and pinned
 // by golden_test.go and batch_test.go: the kernel consumes randomness
 // draw-for-draw exactly as a fused-Uniform EProcess with the same
 // generator, so it changes memory traffic, never results. The sim

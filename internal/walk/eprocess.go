@@ -53,26 +53,28 @@ func (s Stats) Total() int64 { return s.RedSteps + s.BlueSteps }
 // The process runs on the graph's frozen CSR layout and allocates
 // nothing after construction: pending unvisited halves live in a single
 // flat arena (see edgeArena) that Reset refills with one copy from the
-// graph's CSR block, and the visited bitset is cleared in place.
+// graph's CSR block, and the visited bitset is cleared in place. A blue
+// step deletes both halves of the crossed edge at once, so a vertex's
+// pending block always holds exactly its unvisited incident halves —
+// the same arrangement, draw for draw, as the Uniform cover kernel's
+// deferred deletion (see UniformCover).
 type EProcess struct {
 	g    *graph.Graph
 	ri   Intner
 	r    *rand.Rand // interop view of ri for Rand(); may be nil
 	rule Rule
 
-	// fastUniform routes Step through the fused prune+choose blue path
-	// when the rule is the stateless Uniform rule (the common case of
-	// every sweep); adversarial/deterministic rules keep the generic
-	// Rule-dispatch path.
-	fastUniform bool
+	// uniform skips Rule dispatch when the rule is the stateless
+	// Uniform rule (the common case of every sweep): the blue choice is
+	// the one Intn the rule would make.
+	uniform bool
 
 	cur     int
 	visited bits.Set // by edge ID
 
-	// pend holds the candidate unvisited half-edges of every vertex in
-	// one flat block. Entries whose edge has since been visited (from
-	// the other endpoint) are pruned lazily on access; each half is
-	// pruned at most once, so maintenance is O(m) over the whole run.
+	// pend holds the unvisited half-edges of every vertex in one flat
+	// block. A blue step deletes both halves of the crossed edge, so a
+	// block is exactly its vertex's unvisited incident halves.
 	pend edgeArena
 
 	// halves/off are the graph's CSR adjacency, cached (and rebound at
@@ -88,11 +90,10 @@ type EProcess struct {
 	// walk's next Sync lazily invalidates every cached block at once —
 	// no reallocation, no eager clearing per event. The static path
 	// (topo == nil) never touches any of this.
-	topo       graph.Topology
-	dynUniform bool // Uniform rule on the dynamic path (no Rule dispatch)
-	adjCache   [][]graph.Half
-	adjFresh   bits.Set
-	buf        []graph.Half // unvisited-halves scratch for the blue choice
+	topo     graph.Topology
+	adjCache [][]graph.Half
+	adjFresh bits.Set
+	buf      []graph.Half // unvisited-halves scratch for the blue choice
 
 	stats Stats
 	phase Phase
@@ -116,7 +117,7 @@ func NewEProcess(g *graph.Graph, r Intner, rule Rule, start int) *EProcess {
 		rule = Uniform{}
 	}
 	e := &EProcess{g: g, ri: r, r: interopRand(r), rule: rule}
-	_, e.fastUniform = rule.(Uniform)
+	_, e.uniform = rule.(Uniform)
 	e.init(start)
 	return e
 }
@@ -138,9 +139,7 @@ func NewEProcessOn(t graph.Topology, r Intner, rule Rule, start int) *EProcess {
 		rule = Uniform{}
 	}
 	e := &EProcess{g: t.Base(), topo: t, ri: r, r: interopRand(r), rule: rule}
-	// fastUniform stays false: the fused path reads the static arena.
-	// The dynamic path short-circuits Rule dispatch on its own flag.
-	_, e.dynUniform = rule.(Uniform)
+	_, e.uniform = rule.(Uniform)
 	e.init(start)
 	return e
 }
@@ -205,7 +204,6 @@ func (e *EProcess) BlueDegree(v int) int {
 		}
 		return count
 	}
-	e.pend.prune(v, &e.visited)
 	return len(e.pend.pending(v))
 }
 
@@ -248,55 +246,42 @@ func (e *EProcess) Phase() Phase { return e.phase }
 // Step implements Process.
 func (e *EProcess) Step() (int, int) {
 	v := e.cur
-	if e.fastUniform {
-		// Fused blue-step fast path for the Uniform rule: prune v's
-		// pending block and pick the crossed edge in the same breath —
-		// no Rule dispatch, no validation of a foreign rule's choice,
-		// and the emptiness decision is the one branch on the
-		// post-prune length (prune on an already-empty block is a
-		// zero-iteration loop). Draw-for-draw this is the generic path
-		// exactly (prune consumes no randomness; the choice is the
-		// same Intn the Uniform rule made), so math/rand trajectories
-		// are byte-identical.
-		a := &e.pend
-		a.prune(v, &e.visited)
-		lo, hi := a.off[v], a.end[v]
-		if n := int(hi - lo); n > 0 {
-			i := lo + int32(e.ri.Intn(n))
-			h := a.halves[i]
-			e.visited.Set(int(h.ID))
-			// Swap-remove the chosen half; its twin at the far endpoint
-			// is pruned lazily when that vertex is next queried.
-			a.halves[i] = a.halves[hi-1]
-			a.end[v] = hi - 1
-			return e.blueStep(h)
-		}
-		return e.redStep(v)
-	}
 	if e.topo != nil {
 		return e.stepDyn(v)
 	}
-	// Generic path: arbitrary (possibly adversarial) rules. Prune on an
-	// empty block is a zero-iteration loop, so no separate emptiness
-	// guard is needed here either.
-	e.pend.prune(v, &e.visited)
-	if p := e.pend.pending(v); len(p) > 0 {
-		// Blue step: the rule chooses which unvisited edge to cross.
-		// The paper allows arbitrary (even adversarial) rules, so the
-		// process validates the choice rather than trusting it: a rule
-		// returning an out-of-range index is a bug worth failing loudly
-		// on, not silently walking a corrupted trajectory.
-		idx := e.rule.Choose(e, v, p)
-		if idx < 0 || idx >= len(p) {
-			panic(fmt.Sprintf("walk: rule %q chose index %d among %d unvisited edges at vertex %d",
-				e.rule.Name(), idx, len(p), v))
-		}
-		h := p[idx]
-		e.visited.Set(int(h.ID))
-		e.pend.remove(v, idx)
-		return e.blueStep(h)
+	p := e.pend.pending(v)
+	if len(p) == 0 {
+		return e.redStep(v)
 	}
-	return e.redStep(v)
+	// Blue step: the rule chooses which unvisited edge to cross.
+	var idx int
+	if e.uniform {
+		idx = e.ri.Intn(len(p))
+	} else {
+		idx = e.chosen(v, p)
+	}
+	h := p[idx]
+	e.visited.Set(int(h.ID))
+	// Exact twin deletion, as in the Uniform cover kernel: the chosen
+	// half by swap-with-last, then its twin from the far endpoint's
+	// block (v's own block for a loop).
+	e.pend.remove(v, idx)
+	e.pend.removeEdge(int(h.To), h.ID)
+	return e.blueStep(h)
+}
+
+// chosen asks the rule for its blue choice among the unvisited halves
+// p of v. The paper allows arbitrary (even adversarial) rules, so the
+// process validates the choice rather than trusting it: a rule
+// returning an out-of-range index is a bug worth failing loudly on, not
+// silently walking a corrupted trajectory.
+func (e *EProcess) chosen(v int, p []graph.Half) int {
+	idx := e.rule.Choose(e, v, p)
+	if idx < 0 || idx >= len(p) {
+		panic(fmt.Sprintf("walk: rule %q chose index %d among %d unvisited edges at vertex %d",
+			e.rule.Name(), idx, len(p), v))
+	}
+	return idx
 }
 
 // blueStep finishes a blue transition along h: move, count, and keep
@@ -369,14 +354,10 @@ func (e *EProcess) stepDyn(v int) (int, int) {
 	}
 	if len(e.buf) > 0 {
 		var idx int
-		if e.dynUniform {
+		if e.uniform {
 			idx = e.ri.Intn(len(e.buf))
 		} else {
-			idx = e.rule.Choose(e, v, e.buf)
-			if idx < 0 || idx >= len(e.buf) {
-				panic(fmt.Sprintf("walk: rule %q chose index %d among %d unvisited edges at vertex %d",
-					e.rule.Name(), idx, len(e.buf), v))
-			}
+			idx = e.chosen(v, e.buf)
 		}
 		h := e.buf[idx]
 		e.visited.Set(int(h.ID))

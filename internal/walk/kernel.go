@@ -16,20 +16,17 @@ import (
 //
 // The kernel keeps the E-process state in the scratch's own pending
 // arena (a copy of g's CSR halves with per-vertex end cursors) and
-// deletes each visited edge's two halves exactly, where EProcess keeps
-// a visited-edge bitset and lazily prunes stale halves out of a pending
-// block every time the walk stands on its owner (the dominant cost of a
-// full cover under the profiler). The chosen half goes at selection;
-// the other half goes on the arrival that immediately follows, found by
-// scanning the arrival block for the one known edge ID — a handful of
-// sequential compares against entries the arrival loads anyway. That
-// is exact because staleness in EProcess is degenerate: a half of v
-// goes stale only when the walk crosses that edge from the other
-// endpoint — and that crossing moves the walk to v itself, whose very
-// next prune removes it. Every EProcess prune scan therefore removes
-// exactly the one just-crossed twin (or nothing), with the same
-// swap-with-last the targeted deletion uses, so block arrangements —
-// and hence every bounded draw over them — are identical under both.
+// deletes each visited edge's two halves exactly, as EProcess does. The
+// chosen half goes at selection in both. EProcess deletes the other
+// half from the far endpoint's block in the same step; the kernel
+// defers it to the arrival that immediately follows, found by scanning
+// the arrival block for the one known edge ID — a handful of sequential
+// compares against entries the arrival loads anyway. The two orders
+// agree because the twin's block belongs to the very vertex the
+// crossing lands on: no other block changes in between, and the
+// arrival's draw comes after the deferred deletion. Both delete with
+// the same swap-with-last, so block arrangements — and hence every
+// bounded draw over them — are identical.
 //
 // Dropping the bitset pays twice more. A pending block holds exactly
 // the unvisited incident edges at all times, so a blue step always
@@ -39,8 +36,8 @@ import (
 // blue step's one 8-byte load yields the destination and the edge ID
 // together; the CSR is only read on red steps.
 //
-// Determinism: the kernel consumes randomness exactly as the fused
-// Uniform EProcess does — deletion draws nothing, a blue step draws one
+// Determinism: the kernel consumes randomness exactly as the Uniform
+// EProcess does — deletion draws nothing, a blue step draws one
 // bounded int over the pending count, a red step one over the full
 // adjacency — so its trajectory is draw-for-draw identical to
 // EProcess.Step with the same generator. golden_test.go pins this
@@ -136,8 +133,7 @@ func (sc *CoverScratch) uniform(g *graph.Graph, r Intner, start int, maxSteps in
 		lo, hi := off[v], end[v]
 		// Apply the deferred deletion: the blue step that brought the
 		// walk here left the crossed edge's other half in this very
-		// block (the single-staleness argument above), and EProcess's
-		// arrival prune removes it now, before the draw.
+		// block, where EProcess already deleted it during that step.
 		if tp >= 0 {
 			t := uint32(tp)
 			tp = -1
