@@ -104,7 +104,7 @@ type FootprintResult struct {
 
 // ChurnResult is the dynamic-topology section: the overlay engine's
 // step cost next to the frozen fast path. dyn_step_zero_churn is the
-// pure interface-and-cache overhead (same graph, no mutations);
+// pure removal-mask-and-cache overhead (same graph, no mutations);
 // dyn_step_churn adds a failure/repair ChurnSchedule event stream, so
 // its delta over zero-churn is the per-step price of invalidating and
 // rebuilding the live-adjacency cache under real churn; overlay_mutate

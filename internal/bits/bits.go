@@ -23,8 +23,8 @@ type Set struct {
 	n     int
 
 	// gen is the generation stamp recorded by the last Sync. Sets used
-	// as epoch-keyed caches (the dynamic-topology walk path) carry the
-	// owning topology's epoch here; static hot paths never touch it.
+	// as epoch-keyed caches (the E-process on a graph.Overlay) carry
+	// the overlay's epoch here; static hot paths never touch it.
 	gen uint32
 }
 
@@ -53,14 +53,14 @@ func (s *Set) Gen() uint32 { return s.gen }
 // lazily: when the stamp and length already match, the contents are
 // kept and the call is O(1); on any mismatch the set is zeroed (and
 // restamped) without reallocating its word storage. This is how the
-// dynamic-topology walk path keeps per-vertex cache-validity sets
-// across topology epochs — the mutator only bumps its epoch counter,
+// E-process on a graph.Overlay keeps its per-vertex cache-validity set
+// across overlay epochs — the mutator only bumps its epoch counter,
 // and each consumer set pays the O(n/64) clear once, on the first Sync
 // that observes the new stamp, no matter how many epochs elapsed in
 // between.
 //
 // The stamp is a uint32; callers deriving it from a wider counter
-// (Topology.Epoch is uint64) truncate. That is safe for any consumer
+// (graph.Overlay.Epoch is uint64) truncate. That is safe for any consumer
 // that syncs at least once per 2³² mutations — a walk syncing every
 // step cannot miss a wraparound, since epochs advance only between
 // steps by bounded churn.
@@ -70,36 +70,6 @@ func (s *Set) Sync(gen uint32, n int) {
 	}
 	s.Reset(n)
 	s.gen = gen
-}
-
-// Grow extends s to length n, preserving the current contents (bits in
-// [0, Len()) keep their values, new bits read clear). It reuses the
-// word storage when capacity suffices and is a no-op when n ≤ Len().
-// The generation stamp is unchanged. This is what keeps a visited set
-// valid when a topology's edge-ID space extends at the top.
-func (s *Set) Grow(n int) {
-	if n <= s.n {
-		return
-	}
-	old := (s.n + 63) >> 6
-	w := (n + 63) >> 6
-	if cap(s.words) < w {
-		words := make([]uint64, w)
-		copy(words, s.words)
-		s.words = words
-	} else {
-		s.words = s.words[:w]
-		clear(s.words[old:])
-	}
-	// Defensively clear the old final word's padding: the [0, Len())
-	// contract means it should already be zero, but those bits are
-	// about to become addressable.
-	if old > 0 {
-		if tail := uint(s.n) & 63; tail != 0 {
-			s.words[old-1] &= 1<<tail - 1
-		}
-	}
-	s.n = n
 }
 
 // Test reports whether bit i is set.

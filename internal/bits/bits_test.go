@@ -182,55 +182,6 @@ func TestSyncReusesStorageAcrossGenerations(t *testing.T) {
 	}
 }
 
-// Grow at the 63/64/65 boundaries: contents below the old length are
-// preserved bit-for-bit, new indices read clear, and growing within
-// capacity neither allocates nor resurrects stale padding bits.
-func TestGrowPreservesContentsAtBoundaries(t *testing.T) {
-	for _, from := range []int{0, 1, 63, 64, 65} {
-		for _, to := range []int{63, 64, 65, 127, 128, 129} {
-			if to < from {
-				continue
-			}
-			var s Set
-			s.Reset(from)
-			for i := 0; i < from; i += 2 {
-				s.Set(i)
-			}
-			s.Grow(to)
-			if s.Len() != to {
-				t.Fatalf("Grow(%d -> %d): Len=%d", from, to, s.Len())
-			}
-			for i := 0; i < from; i++ {
-				if got, want := s.Test(i), i%2 == 0; got != want {
-					t.Fatalf("Grow(%d -> %d): bit %d flipped to %v", from, to, i, got)
-				}
-			}
-			for i := from; i < to; i++ {
-				if s.Test(i) {
-					t.Fatalf("Grow(%d -> %d): new bit %d reads set", from, to, i)
-				}
-			}
-			// Shrink via Reset then re-grow within capacity: the stale
-			// upper words must read clear.
-			s.Reset(from)
-			s.Grow(to)
-			if c := s.Count(); c != 0 {
-				t.Fatalf("Grow(%d -> %d) after Reset: %d stale bits", from, to, c)
-			}
-		}
-	}
-	// Growing within existing capacity is allocation-free.
-	var s Set
-	s.Reset(1000)
-	allocs := testing.AllocsPerRun(100, func() {
-		s.Reset(64)
-		s.Grow(1000)
-	})
-	if allocs != 0 {
-		t.Errorf("Grow within capacity allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
 func TestResetReusesStorageAndClears(t *testing.T) {
 	var s Set
 	s.Reset(128)

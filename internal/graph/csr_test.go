@@ -67,9 +67,9 @@ func TestHalvesOffsetsViews(t *testing.T) {
 	}
 }
 
-// Freezing must be idempotent and AddEdge must stay O(1) on a frozen
-// graph: the mutation lands in the spill (graph stays frozen, CSR
-// untouched) and the next Freeze merges it back into the flat layout.
+// Freezing must be idempotent, AddEdge must thaw a frozen graph
+// transparently, and refreezing must give the exact CSR arrays of a
+// graph that received every edge before its first Freeze.
 func TestFreezeThawCycle(t *testing.T) {
 	g := buildTestGraph(t)
 	g.Freeze()
@@ -77,17 +77,16 @@ func TestFreezeThawCycle(t *testing.T) {
 	if err := g.AddEdge(3, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !g.Frozen() {
-		t.Fatal("post-freeze AddEdge thawed the graph (should spill)")
+	if g.Frozen() {
+		t.Fatal("graph still frozen after AddEdge")
 	}
 	if err := g.Validate(); err != nil {
-		t.Fatalf("spilled graph invalid: %v", err)
+		t.Fatalf("thawed graph invalid: %v", err)
 	}
 	if g.M() != 6 || g.Degree(3) != 2 {
 		t.Fatalf("mutation lost: m=%d deg(3)=%d", g.M(), g.Degree(3))
 	}
-	// Refreeze (merges the spill) and confirm the new edge landed in
-	// the CSR arrays.
+	// Refreeze and confirm the new edge landed in the CSR arrays.
 	g.Freeze()
 	found := false
 	for _, h := range g.Adj(3) {
@@ -100,6 +99,26 @@ func TestFreezeThawCycle(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("refrozen graph invalid: %v", err)
+	}
+
+	// Freeze-mutate-freeze gives byte-identical CSR arrays to building
+	// everything before the first freeze.
+	want := MustFromEdges(4, []Edge{{0, 1}, {0, 1}, {2, 2}, {1, 2}, {2, 3}, {3, 0}})
+	want.Freeze()
+	wh, wo := want.Halves(), want.Offsets()
+	gh, gOff := g.Halves(), g.Offsets()
+	if len(wh) != len(gh) || len(wo) != len(gOff) {
+		t.Fatalf("refrozen CSR sizes differ: %d/%d halves, %d/%d offsets", len(gh), len(wh), len(gOff), len(wo))
+	}
+	for i := range wh {
+		if wh[i] != gh[i] {
+			t.Fatalf("refrozen CSR halves diverge at %d: %+v vs %+v", i, gh[i], wh[i])
+		}
+	}
+	for i := range wo {
+		if wo[i] != gOff[i] {
+			t.Fatalf("refrozen CSR offsets diverge at %d", i)
+		}
 	}
 }
 

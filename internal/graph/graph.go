@@ -92,18 +92,7 @@ type Graph struct {
 	halves []Half
 	off    []int32
 
-	// spill holds halves added after Freeze, keyed by vertex, so a
-	// post-freeze AddEdge is O(1) amortised instead of an O(n+m)
-	// thaw/refreeze. Adj and Degree consult it transparently; the next
-	// Freeze (or Halves/Offsets access) merges it back into the CSR in
-	// one pass. nil when the frozen CSR is exact.
-	spill       map[int][]Half
-	spillHalves int
-
 	frozen bool
-
-	// epoch counts structural mutations (see Topology.Epoch).
-	epoch uint64
 }
 
 // New returns a graph with n isolated vertices and no edges. It panics
@@ -161,9 +150,6 @@ func (g *Graph) M() int { return len(g.edges) }
 // across goroutines, not concurrently with other access.
 func (g *Graph) Freeze() {
 	if g.frozen {
-		if g.spill != nil {
-			g.mergeSpill()
-		}
 		return
 	}
 	total := 0
@@ -188,30 +174,8 @@ func (g *Graph) Freeze() {
 // Frozen reports whether the graph is in its flat CSR state.
 func (g *Graph) Frozen() bool { return g.frozen }
 
-// mergeSpill folds the post-freeze spill back into a fresh CSR in one
-// O(n+m) pass, preserving per-vertex insertion order (CSR block first,
-// spilled halves after, in AddEdge order) — exactly what the old
-// thaw+refreeze produced. It runs once per Freeze/Halves/Offsets after
-// a batch of mutations, not once per mutation.
-func (g *Graph) mergeSpill() {
-	total := len(g.halves) + g.spillHalves
-	if total > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: %d half-edges exceed the int32 CSR offset range", total))
-	}
-	halves := make([]Half, 0, total)
-	off := make([]int32, g.n+1)
-	for v := 0; v < g.n; v++ {
-		off[v] = int32(len(halves))
-		halves = append(halves, g.halves[g.off[v]:g.off[v+1]]...)
-		halves = append(halves, g.spill[v]...)
-	}
-	off[g.n] = int32(len(halves))
-	g.halves, g.off = halves, off
-	g.spill, g.spillHalves = nil, 0
-}
-
-// thaw reconstitutes the builder adjacency from the CSR arrays (spill
-// included) so the graph can be mutated again.
+// thaw reconstitutes the builder adjacency from the CSR arrays so the
+// graph can be mutated again.
 func (g *Graph) thaw() {
 	if !g.frozen {
 		return
@@ -219,13 +183,12 @@ func (g *Graph) thaw() {
 	g.adj = make([][]Half, g.n)
 	for v := 0; v < g.n; v++ {
 		lo, hi := g.off[v], g.off[v+1]
-		if int(hi-lo)+len(g.spill[v]) == 0 {
+		if lo == hi {
 			continue
 		}
-		g.adj[v] = append(append([]Half(nil), g.halves[lo:hi]...), g.spill[v]...)
+		g.adj[v] = append([]Half(nil), g.halves[lo:hi]...)
 	}
 	g.halves, g.off = nil, nil
-	g.spill, g.spillHalves = nil, 0
 	g.frozen = false
 }
 
@@ -247,10 +210,9 @@ func (g *Graph) Offsets() []int32 {
 }
 
 // AddEdge appends an undirected edge {u, v} and returns its edge ID.
-// On a frozen graph the new halves land in a per-vertex spill that Adj
-// and Degree consult transparently — O(1) amortised, no CSR rebuild —
-// and the next Freeze (or Halves/Offsets access) merges the whole
-// batch back into the flat layout in one O(n+m) pass.
+// Adding an edge to a frozen graph thaws it back to the builder layout
+// (O(n+m) once); interleaved mutation should therefore happen before
+// the first Freeze.
 func (g *Graph) AddEdge(u, v int) error {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return fmt.Errorf("%w: edge {%d,%d} in graph of %d vertices", ErrVertexRange, u, v, g.n)
@@ -258,18 +220,9 @@ func (g *Graph) AddEdge(u, v int) error {
 	if len(g.edges) >= MaxEdges {
 		return fmt.Errorf("%w: m=%d", ErrTooLarge, len(g.edges))
 	}
+	g.thaw()
 	id := uint32(len(g.edges))
 	g.edges = append(g.edges, Edge{U: u, V: v})
-	g.epoch++
-	if g.frozen {
-		if g.spill == nil {
-			g.spill = make(map[int][]Half)
-		}
-		g.spill[u] = append(g.spill[u], Half{ID: id, To: uint32(v)})
-		g.spill[v] = append(g.spill[v], Half{ID: id, To: uint32(u)})
-		g.spillHalves += 2
-		return nil
-	}
 	g.adj[u] = append(g.adj[u], Half{ID: id, To: uint32(v)})
 	g.adj[v] = append(g.adj[v], Half{ID: id, To: uint32(u)})
 	return nil
@@ -288,31 +241,18 @@ func (g *Graph) Edges() []Edge {
 // Degree returns the degree of v, with each loop counting 2.
 func (g *Graph) Degree(v int) int {
 	if g.frozen {
-		d := int(g.off[v+1] - g.off[v])
-		if g.spill != nil {
-			d += len(g.spill[v])
-		}
-		return d
+		return int(g.off[v+1] - g.off[v])
 	}
 	return len(g.adj[v])
 }
 
 // Adj returns the half-edge adjacency list of v. The returned slice is
 // owned by the graph and must not be modified. On a frozen graph it is
-// a view into the flat CSR array (for a vertex touched by a post-freeze
-// AddEdge, a fresh combined slice) and is invalidated by the next
+// a view into the flat CSR array and is invalidated by the next
 // AddEdge.
 func (g *Graph) Adj(v int) []Half {
 	if g.frozen {
-		csr := g.halves[g.off[v]:g.off[v+1]]
-		if g.spill == nil {
-			return csr
-		}
-		sp := g.spill[v]
-		if len(sp) == 0 {
-			return csr
-		}
-		return append(append(make([]Half, 0, len(csr)+len(sp)), csr...), sp...)
+		return g.halves[g.off[v]:g.off[v+1]]
 	}
 	return g.adj[v]
 }
@@ -443,13 +383,6 @@ func (g *Graph) Clone() *Graph {
 	if g.frozen {
 		c.halves = append([]Half(nil), g.halves...)
 		c.off = append([]int32(nil), g.off...)
-		if g.spill != nil {
-			c.spill = make(map[int][]Half, len(g.spill))
-			for v, hs := range g.spill {
-				c.spill[v] = append([]Half(nil), hs...)
-			}
-			c.spillHalves = g.spillHalves
-		}
 		return c
 	}
 	c.adj = make([][]Half, g.n)

@@ -1,42 +1,25 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// Overlay is a mutable topology over a frozen base graph: a delta
-// structure holding per-vertex added half-edges plus a word-packed
-// removed-edge mask, so edges can fail, repair and appear *during* a
-// walk without thawing (or copying) the base CSR. The base graph is
-// never written — one frozen instance can back any number of overlays
-// concurrently, which is exactly the sweep runner's shared-graph
-// contract (one frozen graph per trial, read-only across arms).
+// Overlay is a removal mask over a frozen base graph: edges of the
+// base can fail and be restored *during* a walk without thawing (or
+// copying) the base CSR. The base graph is never written — one frozen
+// instance can back any number of overlays concurrently, which is
+// exactly the sweep runner's shared-graph contract (one frozen graph
+// per trial, read-only across arms).
 //
-// Identity rules:
-//   - base edges keep their CSR edge IDs [0, base.M());
-//   - added edges extend the ID space at the top (base.M(), base.M()+1,
-//     ...) and are never renumbered;
-//   - removing an edge retires its ID (RestoreEdge revives it); the ID
-//     space only grows, so EdgeIDBound is monotone and visited sets
-//     sized by it stay valid across mutations.
+// Edge IDs are the base's CSR edge IDs [0, base.M()). Removing an edge
+// retires its ID until RestoreEdge revives it; IDs are never
+// renumbered, so visited sets sized by base.M() stay valid across
+// mutations.
 //
 // Every mutation advances Epoch(), the stamp consumers use to
-// invalidate cached adjacency state (see bits.Set.Sync). Commit
-// re-bases the overlay onto a freshly frozen CSR when the accumulated
-// delta is large enough that delta-filtered reads stop being cheap —
-// that rebuild compacts edge IDs, so it is only legal between walks.
+// invalidate cached adjacency state (see bits.Set.Sync).
 //
 // An Overlay is not safe for concurrent use.
 type Overlay struct {
 	base *Graph
-
-	// added edges, ID = base.M()+i; removed added-edges stay in the
-	// slice (their IDs are retired via the removed mask, like base IDs).
-	added []Edge
-	// addedAdj[v] holds the halves of added edges incident to v (a loop
-	// contributes two). Allocated up front (O(n), once per overlay).
-	addedAdj [][]Half
 
 	// removed is the word-packed removed-edge mask, indexed by edge ID.
 	removed []uint64
@@ -51,28 +34,19 @@ type Overlay struct {
 	pos  []int32
 
 	epoch uint64
-
-	// CommitThreshold is the delta size (added edges + removed edges)
-	// above which Commit rebuilds; 0 means the default
-	// max(64, base.M()/4).
-	CommitThreshold int
 }
 
-var _ Topology = (*Overlay)(nil)
-
-// NewOverlay returns a mutable topology over g, freezing g if needed.
-// The overlay starts identical to g: no added edges, none removed,
-// Epoch 0.
+// NewOverlay returns a removal mask over g, freezing g if needed. The
+// overlay starts identical to g: no edge removed, Epoch 0.
 func NewOverlay(g *Graph) *Overlay {
 	g.Freeze()
 	m := g.M()
 	o := &Overlay{
-		base:     g,
-		addedAdj: make([][]Half, g.N()),
-		removed:  make([]uint64, (m+63)>>6),
-		deadAt:   make([]int32, g.N()),
-		live:     make([]uint32, m),
-		pos:      make([]int32, m),
+		base:    g,
+		removed: make([]uint64, (m+63)>>6),
+		deadAt:  make([]int32, g.N()),
+		live:    make([]uint32, m),
+		pos:     make([]int32, m),
 	}
 	for id := 0; id < m; id++ {
 		o.live[id] = uint32(id)
@@ -81,16 +55,15 @@ func NewOverlay(g *Graph) *Overlay {
 	return o
 }
 
-// N implements Topology.
+// N returns the number of vertices (that of the base).
 func (o *Overlay) N() int { return o.base.N() }
 
-// EdgeIDBound implements Topology: base IDs plus every ID ever added.
-func (o *Overlay) EdgeIDBound() int { return o.base.M() + len(o.added) }
-
-// Epoch implements Topology.
+// Epoch returns a counter that advances on every RemoveEdge and
+// RestoreEdge. Consumers cache derived state keyed by it and
+// invalidate on mismatch.
 func (o *Overlay) Epoch() uint64 { return o.epoch }
 
-// Base implements Topology.
+// Base returns the frozen graph underneath the mask.
 func (o *Overlay) Base() *Graph { return o.base }
 
 // isRemoved reports whether edge id is currently removed.
@@ -98,59 +71,22 @@ func (o *Overlay) isRemoved(id int) bool {
 	return o.removed[uint(id)>>6]&(1<<(uint(id)&63)) != 0
 }
 
-// Deg implements Topology in O(1): base degree plus added halves minus
-// removed halves at v.
+// Deg returns the live degree of v in O(1): base degree minus removed
+// halves at v (loops count 2).
 func (o *Overlay) Deg(v int) int {
-	return o.base.Degree(v) + len(o.addedAdj[v]) - int(o.deadAt[v])
+	return o.base.Degree(v) - int(o.deadAt[v])
 }
 
-// AppendAdj implements Topology: the base CSR block of v filtered by
-// the removed mask, then v's added halves under the same filter.
+// AppendAdj appends the live half-edges of v to dst — the base CSR
+// block of v filtered by the removed mask, in CSR order — and returns
+// the extended slice.
 func (o *Overlay) AppendAdj(v int, dst []Half) []Half {
 	for _, h := range o.base.Adj(v) {
 		if !o.isRemoved(int(h.ID)) {
 			dst = append(dst, h)
 		}
 	}
-	for _, h := range o.addedAdj[v] {
-		if !o.isRemoved(int(h.ID)) {
-			dst = append(dst, h)
-		}
-	}
 	return dst
-}
-
-// AdjHalf implements Topology by scanning past removed halves — O(i)
-// worst case; hot loops should use AppendAdj.
-func (o *Overlay) AdjHalf(v, i int) Half {
-	k := i
-	for _, h := range o.base.Adj(v) {
-		if o.isRemoved(int(h.ID)) {
-			continue
-		}
-		if k == 0 {
-			return h
-		}
-		k--
-	}
-	for _, h := range o.addedAdj[v] {
-		if o.isRemoved(int(h.ID)) {
-			continue
-		}
-		if k == 0 {
-			return h
-		}
-		k--
-	}
-	panic(fmt.Sprintf("graph: AdjHalf(%d, %d) out of range (live degree %d)", v, i, o.Deg(v)))
-}
-
-// Edge returns the endpoints of edge id, whether live or removed.
-func (o *Overlay) Edge(id int) Edge {
-	if id < o.base.M() {
-		return o.base.Edge(id)
-	}
-	return o.added[id-o.base.M()]
 }
 
 // LiveEdges returns the number of live edges.
@@ -168,53 +104,20 @@ func (o *Overlay) RemovedEdges() int { return len(o.dead) }
 // RemovedEdgeAt returns the i-th removed edge ID, 0 ≤ i < RemovedEdges().
 func (o *Overlay) RemovedEdgeAt(i int) int { return int(o.dead[i]) }
 
-// Deltas returns the accumulated delta size: edges added plus edges
-// currently removed. Commit compares it against the threshold.
-func (o *Overlay) Deltas() int { return len(o.added) + len(o.dead) }
-
-// halfEnds returns the endpoint vertices charged for e's two halves
-// (u twice for a loop).
-func halfEnds(e Edge) (int, int) { return e.U, e.V }
-
-// AddEdge appends a live undirected edge {u, v} to the overlay and
-// returns its edge ID. The base graph is untouched; the new ID extends
-// the ID space at the top (consumers should re-check EdgeIDBound after
-// an epoch bump). Cost is O(1) amortised.
-func (o *Overlay) AddEdge(u, v int) (int, error) {
-	n := o.base.N()
-	if u < 0 || u >= n || v < 0 || v >= n {
-		return 0, fmt.Errorf("%w: edge {%d,%d} in graph of %d vertices", ErrVertexRange, u, v, n)
-	}
-	id := o.EdgeIDBound()
-	if id >= MaxEdges {
-		return 0, fmt.Errorf("%w: m=%d", ErrTooLarge, id)
-	}
-	o.added = append(o.added, Edge{U: u, V: v})
-	o.addedAdj[u] = append(o.addedAdj[u], Half{ID: uint32(id), To: uint32(v)})
-	o.addedAdj[v] = append(o.addedAdj[v], Half{ID: uint32(id), To: uint32(u)})
-	if w := uint(id) >> 6; w >= uint(len(o.removed)) {
-		o.removed = append(o.removed, 0)
-	}
-	o.pos = append(o.pos, int32(len(o.live)))
-	o.live = append(o.live, uint32(id))
-	o.epoch++
-	return id, nil
-}
-
 // RemoveEdge retires live edge id: it vanishes from every adjacency
 // read until RestoreEdge revives it. O(1). Removing an edge that is
 // already removed (or out of range) is an error.
 func (o *Overlay) RemoveEdge(id int) error {
-	if id < 0 || id >= o.EdgeIDBound() {
-		return fmt.Errorf("graph: RemoveEdge(%d): ID out of range [0, %d)", id, o.EdgeIDBound())
+	if id < 0 || id >= o.base.M() {
+		return fmt.Errorf("graph: RemoveEdge(%d): ID out of range [0, %d)", id, o.base.M())
 	}
 	if o.isRemoved(id) {
 		return fmt.Errorf("graph: RemoveEdge(%d): already removed", id)
 	}
 	o.removed[uint(id)>>6] |= 1 << (uint(id) & 63)
-	u, v := halfEnds(o.Edge(id))
-	o.deadAt[u]++
-	o.deadAt[v]++
+	e := o.base.Edge(id)
+	o.deadAt[e.U]++
+	o.deadAt[e.V]++
 	// Swap-remove id from live, append to dead.
 	i := o.pos[id]
 	last := o.live[len(o.live)-1]
@@ -229,16 +132,16 @@ func (o *Overlay) RemoveEdge(id int) error {
 
 // RestoreEdge revives removed edge id with its original identity. O(1).
 func (o *Overlay) RestoreEdge(id int) error {
-	if id < 0 || id >= o.EdgeIDBound() {
-		return fmt.Errorf("graph: RestoreEdge(%d): ID out of range [0, %d)", id, o.EdgeIDBound())
+	if id < 0 || id >= o.base.M() {
+		return fmt.Errorf("graph: RestoreEdge(%d): ID out of range [0, %d)", id, o.base.M())
 	}
 	if !o.isRemoved(id) {
 		return fmt.Errorf("graph: RestoreEdge(%d): not removed", id)
 	}
 	o.removed[uint(id)>>6] &^= 1 << (uint(id) & 63)
-	u, v := halfEnds(o.Edge(id))
-	o.deadAt[u]--
-	o.deadAt[v]--
+	e := o.base.Edge(id)
+	o.deadAt[e.U]--
+	o.deadAt[e.V]--
 	// Swap-remove id from dead, append to live.
 	i := o.pos[id]
 	last := o.dead[len(o.dead)-1]
@@ -251,96 +154,14 @@ func (o *Overlay) RestoreEdge(id int) error {
 	return nil
 }
 
-func (o *Overlay) threshold() int {
-	if o.CommitThreshold > 0 {
-		return o.CommitThreshold
-	}
-	t := o.base.M() / 4
-	if t < 64 {
-		t = 64
-	}
-	return t
-}
-
-// Commit re-bases the overlay when the accumulated delta exceeds the
-// threshold: the live edge set is flattened into a fresh frozen CSR
-// (the old base is untouched), the delta structures reset, and the new
-// base is returned with ok=true. Below the threshold it is a cheap
-// no-op returning (nil, false) — call it periodically and keep reading
-// through the delta.
-//
-// Committing compacts edge IDs (live edges renumber to [0, LiveEdges())
-// in LiveEdgeAt order is NOT guaranteed; the order is ascending current
-// ID), so any visited/seen state keyed by edge ID is invalidated: only
-// commit between walks, never mid-trajectory.
-func (o *Overlay) Commit() (*Graph, bool) {
-	if o.Deltas() <= o.threshold() {
-		return nil, false
-	}
-	g := o.Flatten()
-	m := g.M()
-	o.base = g
-	o.added = o.added[:0]
-	for v := range o.addedAdj {
-		o.addedAdj[v] = o.addedAdj[v][:0]
-		o.deadAt[v] = 0
-	}
-	words := (m + 63) >> 6
-	if cap(o.removed) < words {
-		o.removed = make([]uint64, words)
-	} else {
-		o.removed = o.removed[:words]
-		clear(o.removed)
-	}
-	if cap(o.live) < m {
-		o.live = make([]uint32, m)
-	} else {
-		o.live = o.live[:m]
-	}
-	if cap(o.pos) < m {
-		o.pos = make([]int32, m)
-	} else {
-		o.pos = o.pos[:m]
-	}
-	o.dead = o.dead[:0]
-	for id := 0; id < m; id++ {
-		o.live[id] = uint32(id)
-		o.pos[id] = int32(id)
-	}
-	o.epoch++
-	return g, true
-}
-
-// Flatten materialises the current live edge set as a fresh frozen
-// graph, renumbering live edges to [0, LiveEdges()) in ascending
-// current-ID order. The overlay and its base are unchanged.
-func (o *Overlay) Flatten() *Graph {
-	g := New(o.base.N())
-	bound := o.EdgeIDBound()
-	if bound > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: overlay ID bound %d exceeds int32", bound))
-	}
-	for id := 0; id < bound; id++ {
-		if o.isRemoved(id) {
-			continue
-		}
-		e := o.Edge(id)
-		if err := g.AddEdge(e.U, e.V); err != nil {
-			panic(err) // n and m already validated against the 32-bit contract
-		}
-	}
-	g.Freeze()
-	return g
-}
-
 // Validate checks the overlay's internal consistency: the live/dead
 // partition against the removed mask, the O(1) degree bookkeeping
 // against a full adjacency scan, and the handshake identity over live
 // halves.
 func (o *Overlay) Validate() error {
-	bound := o.EdgeIDBound()
-	if len(o.live)+len(o.dead) != bound {
-		return fmt.Errorf("graph: overlay live %d + dead %d != ID bound %d", len(o.live), len(o.dead), bound)
+	m := o.base.M()
+	if len(o.live)+len(o.dead) != m {
+		return fmt.Errorf("graph: overlay live %d + dead %d != edge count %d", len(o.live), len(o.dead), m)
 	}
 	for i, id := range o.live {
 		if o.isRemoved(int(id)) || o.pos[id] != int32(i) {
@@ -359,11 +180,8 @@ func (o *Overlay) Validate() error {
 		if len(buf) != o.Deg(v) {
 			return fmt.Errorf("graph: overlay Deg(%d)=%d but AppendAdj yields %d halves", v, o.Deg(v), len(buf))
 		}
-		for i, h := range buf {
-			if o.AdjHalf(v, i) != h {
-				return fmt.Errorf("graph: overlay AdjHalf(%d,%d) disagrees with AppendAdj", v, i)
-			}
-			e := o.Edge(int(h.ID))
+		for _, h := range buf {
+			e := o.base.Edge(int(h.ID))
 			if (e.U != v && e.V != v) || e.Other(v) != int(h.To) {
 				return fmt.Errorf("graph: overlay half %+v at vertex %d inconsistent with edge %+v", h, v, e)
 			}

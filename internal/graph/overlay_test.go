@@ -16,14 +16,14 @@ func overlayBase(t testing.TB) *Graph {
 }
 
 // refAdj computes v's live adjacency of o the slow way, straight from
-// the overlay's edge table and removal state.
+// the base's edge table and the overlay's removal state.
 func refAdj(o *Overlay, v int) []Half {
 	var out []Half
-	for id := 0; id < o.EdgeIDBound(); id++ {
+	for id := 0; id < o.Base().M(); id++ {
 		if o.isRemoved(id) {
 			continue
 		}
-		e := o.Edge(id)
+		e := o.Base().Edge(id)
 		if e.U == v {
 			out = append(out, Half{ID: uint32(id), To: uint32(e.V)})
 		}
@@ -40,9 +40,9 @@ func refAdj(o *Overlay, v int) []Half {
 func TestOverlayStartsIdenticalToBase(t *testing.T) {
 	g := overlayBase(t)
 	o := NewOverlay(g)
-	if o.Epoch() != 0 || o.EdgeIDBound() != g.M() || o.LiveEdges() != g.M() || o.RemovedEdges() != 0 {
-		t.Fatalf("fresh overlay state: epoch=%d bound=%d live=%d removed=%d",
-			o.Epoch(), o.EdgeIDBound(), o.LiveEdges(), o.RemovedEdges())
+	if o.Epoch() != 0 || o.N() != g.N() || o.LiveEdges() != g.M() || o.RemovedEdges() != 0 {
+		t.Fatalf("fresh overlay state: epoch=%d n=%d live=%d removed=%d",
+			o.Epoch(), o.N(), o.LiveEdges(), o.RemovedEdges())
 	}
 	var buf []Half
 	for v := 0; v < g.N(); v++ {
@@ -55,7 +55,7 @@ func TestOverlayStartsIdenticalToBase(t *testing.T) {
 			t.Fatalf("vertex %d: overlay %d halves, base %d", v, len(buf), len(adj))
 		}
 		for i := range buf {
-			if buf[i] != adj[i] || o.AdjHalf(v, i) != adj[i] {
+			if buf[i] != adj[i] {
 				t.Errorf("vertex %d half %d: overlay %+v, base %+v", v, i, buf[i], adj[i])
 			}
 		}
@@ -65,9 +65,8 @@ func TestOverlayStartsIdenticalToBase(t *testing.T) {
 	}
 }
 
-func TestOverlayRemoveRestoreAdd(t *testing.T) {
+func TestOverlayRemoveRestore(t *testing.T) {
 	g := overlayBase(t)
-	baseEpoch := g.Epoch()
 	o := NewOverlay(g)
 
 	// Remove the loop (ID 5): both halves at vertex 1 vanish.
@@ -92,8 +91,11 @@ func TestOverlayRemoveRestoreAdd(t *testing.T) {
 	if err := o.RestoreEdge(0); err == nil {
 		t.Fatal("restore of a live edge accepted")
 	}
-	if err := o.RemoveEdge(o.EdgeIDBound()); err == nil {
+	if err := o.RemoveEdge(g.M()); err == nil {
 		t.Fatal("out-of-range remove accepted")
+	}
+	if err := o.RestoreEdge(-1); err == nil {
+		t.Fatal("out-of-range restore accepted")
 	}
 
 	// Restore brings the identical halves back.
@@ -103,35 +105,16 @@ func TestOverlayRemoveRestoreAdd(t *testing.T) {
 	if got := o.Deg(1); got != d1 {
 		t.Fatalf("Deg(1)=%d after restore, want %d", got, d1)
 	}
-
-	// Add a new edge: ID extends the space at the top.
-	id, err := o.AddEdge(4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != g.M() || o.EdgeIDBound() != g.M()+1 {
-		t.Fatalf("added edge ID %d, bound %d (base m=%d)", id, o.EdgeIDBound(), g.M())
-	}
-	if o.Deg(4) != 1 || o.Deg(5) != 1 {
-		t.Fatalf("added edge degrees: %d, %d", o.Deg(4), o.Deg(5))
-	}
-	// Added edges remove and restore like base edges.
-	if err := o.RemoveEdge(id); err != nil {
-		t.Fatal(err)
-	}
-	if o.Deg(4) != 0 {
-		t.Fatalf("Deg(4)=%d after removing added edge", o.Deg(4))
-	}
-	if err := o.RestoreEdge(id); err != nil {
-		t.Fatal(err)
+	if o.Epoch() != 2 {
+		t.Fatalf("epoch %d after two mutations", o.Epoch())
 	}
 	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
 
 	// The shared base graph was never written.
-	if g.M() != 7 || g.Epoch() != baseEpoch {
-		t.Fatalf("base mutated through overlay: m=%d epoch=%d", g.M(), g.Epoch())
+	if g.M() != 7 || !g.Frozen() {
+		t.Fatalf("base mutated through overlay: m=%d frozen=%v", g.M(), g.Frozen())
 	}
 }
 
@@ -144,7 +127,7 @@ func TestOverlayRandomChurnAgainstReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	lastEpoch := o.Epoch()
 	for step := 0; step < 400; step++ {
-		switch op := r.Intn(3); {
+		switch op := r.Intn(2); {
 		case op == 0 && o.LiveEdges() > 1:
 			id := o.LiveEdgeAt(r.Intn(o.LiveEdges()))
 			if err := o.RemoveEdge(id); err != nil {
@@ -154,10 +137,6 @@ func TestOverlayRandomChurnAgainstReference(t *testing.T) {
 			id := o.RemovedEdgeAt(r.Intn(o.RemovedEdges()))
 			if err := o.RestoreEdge(id); err != nil {
 				t.Fatalf("step %d: restore %d: %v", step, id, err)
-			}
-		case op == 2:
-			if _, err := o.AddEdge(r.Intn(g.N()), r.Intn(g.N())); err != nil {
-				t.Fatalf("step %d: add: %v", step, err)
 			}
 		default:
 			continue
@@ -191,161 +170,5 @@ func TestOverlayRandomChurnAgainstReference(t *testing.T) {
 	}
 	if g.M() != 7 {
 		t.Fatal("base mutated during churn")
-	}
-}
-
-func TestOverlayCommitThresholdAndRebase(t *testing.T) {
-	g := overlayBase(t)
-	o := NewOverlay(g)
-	o.CommitThreshold = 3
-
-	if err := o.RemoveEdge(2); err != nil {
-		t.Fatal(err)
-	}
-	if ng, ok := o.Commit(); ok || ng != nil {
-		t.Fatal("commit fired below threshold")
-	}
-	if _, err := o.AddEdge(4, 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.AddEdge(5, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.AddEdge(3, 4); err != nil {
-		t.Fatal(err)
-	}
-	// Deltas = 1 removed + 3 added = 4 > 3: commit rebuilds.
-	wantLive := o.LiveEdges()
-	flat := o.Flatten()
-	epochBefore := o.Epoch()
-	ng, ok := o.Commit()
-	if !ok || ng == nil {
-		t.Fatal("commit did not fire above threshold")
-	}
-	if o.Epoch() != epochBefore+1 {
-		t.Fatalf("commit epoch %d, want %d", o.Epoch(), epochBefore+1)
-	}
-	if ng.M() != wantLive || o.EdgeIDBound() != wantLive || o.Deltas() != 0 {
-		t.Fatalf("rebased overlay: base m=%d bound=%d deltas=%d, want live=%d",
-			ng.M(), o.EdgeIDBound(), o.Deltas(), wantLive)
-	}
-	if !ng.Frozen() {
-		t.Fatal("committed base not frozen")
-	}
-	// The committed base equals the pre-commit Flatten (same live set,
-	// same compaction order).
-	if flat.M() != ng.M() || flat.N() != ng.N() {
-		t.Fatalf("flatten/commit disagree: %v vs %v", flat, ng)
-	}
-	for id := 0; id < ng.M(); id++ {
-		if flat.Edge(id) != ng.Edge(id) {
-			t.Fatalf("edge %d: flatten %+v, commit %+v", id, flat.Edge(id), ng.Edge(id))
-		}
-	}
-	if err := o.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Old base still intact.
-	if g.M() != 7 {
-		t.Fatal("original base mutated by commit")
-	}
-}
-
-// The satellite regression for thaw-on-mutation cost: a single AddEdge
-// on a frozen graph must leave the CSR arrays untouched (no O(m)
-// rebuild) and keep the graph frozen; the spill merges back on the
-// next Freeze with the exact layout an unfrozen build would produce.
-func TestPostFreezeAddEdgeDoesNotRebuildCSR(t *testing.T) {
-	edges := []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 3}}
-	g := MustFromEdges(5, edges)
-	g.Freeze()
-	before := g.Adj(0) // view into the frozen CSR
-	if err := g.AddEdge(2, 4); err != nil {
-		t.Fatal(err)
-	}
-	if !g.Frozen() {
-		t.Fatal("AddEdge thawed the frozen graph")
-	}
-	after := g.Adj(0) // vertex 0 untouched by the mutation
-	if &before[0] != &after[0] {
-		t.Fatal("CSR backing array was rebuilt by a single post-freeze AddEdge")
-	}
-	if g.Degree(2) != 3 || g.Degree(4) != 3 {
-		t.Fatalf("spilled degrees wrong: deg(2)=%d deg(4)=%d", g.Degree(2), g.Degree(4))
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The per-mutation cost must be O(1)-ish: a handful of allocations
-	// (edge append, spill buckets), not an O(n+m) rebuild. 8 is a loose
-	// ceiling; the old thaw path allocated one slice per vertex.
-	gBig := MustFromEdges(4096, ringEdges(4096))
-	gBig.Freeze()
-	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := gBig.AddEdge(i%4096, (i+7)%4096); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if allocs > 8 {
-		t.Fatalf("post-freeze AddEdge costs %.0f allocs/op — looks like an O(m) rebuild", allocs)
-	}
-
-	// Merge equivalence: freeze-mutate-freeze produces byte-identical
-	// CSR arrays to building everything before the first freeze.
-	g.Freeze()
-	want := MustFromEdges(5, append(append([]Edge(nil), edges...), Edge{2, 4}))
-	want.Freeze()
-	wh, wo := want.Halves(), want.Offsets()
-	gh, gOff := g.Halves(), g.Offsets()
-	if len(wh) != len(gh) || len(wo) != len(gOff) {
-		t.Fatalf("merged CSR sizes differ: %d/%d halves, %d/%d offsets", len(gh), len(wh), len(gOff), len(wo))
-	}
-	for i := range wh {
-		if wh[i] != gh[i] {
-			t.Fatalf("merged CSR halves diverge at %d: %+v vs %+v", i, gh[i], wh[i])
-		}
-	}
-	for i := range wo {
-		if wo[i] != gOff[i] {
-			t.Fatalf("merged CSR offsets diverge at %d", i)
-		}
-	}
-}
-
-func ringEdges(n int) []Edge {
-	out := make([]Edge, n)
-	for i := range out {
-		out[i] = Edge{i, (i + 1) % n}
-	}
-	return out
-}
-
-func TestGraphImplementsTopology(t *testing.T) {
-	g := overlayBase(t)
-	var topo Topology = g
-	if topo.N() != g.N() || topo.EdgeIDBound() != g.M() || topo.Base() != g {
-		t.Fatal("graph topology views disagree with the graph")
-	}
-	for v := 0; v < g.N(); v++ {
-		if topo.Deg(v) != g.Degree(v) {
-			t.Fatalf("Deg(%d) mismatch", v)
-		}
-		adj := g.Adj(v)
-		got := topo.AppendAdj(v, nil)
-		for i := range adj {
-			if got[i] != adj[i] || topo.AdjHalf(v, i) != adj[i] {
-				t.Fatalf("topology adjacency of %d diverges at %d", v, i)
-			}
-		}
-	}
-	e0 := topo.Epoch()
-	if err := g.AddEdge(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if topo.Epoch() != e0+1 {
-		t.Fatal("AddEdge did not advance the graph epoch")
 	}
 }

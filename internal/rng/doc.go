@@ -15,7 +15,7 @@
 // dispatch and modulo-rejection divisions. Rand couples both views over
 // one shared state. Every experiment in the repository receives its
 // randomness through injection so that runs are reproducible from a
-// seed. NewStream derives independent child generators from a master
-// seed, which is how the simulation harness gives each parallel trial
-// its own generator without correlation between trials.
+// seed. The simulation harness derives one seed per trial and builds
+// that trial's generator with NewSource; New serves user-facing seeds,
+// mixing them through one SplitMix64 step first.
 package rng

@@ -108,33 +108,6 @@ func TestXoshiroJumpChangesSequence(t *testing.T) {
 	}
 }
 
-func TestStreamIndependence(t *testing.T) {
-	st := NewStream(KindXoshiro, 1)
-	a := st.Next()
-	b := st.Next()
-	collisions := 0
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() == b.Uint64() {
-			collisions++
-		}
-	}
-	if collisions > 1 {
-		t.Fatalf("sibling streams collide on %d/1000 outputs", collisions)
-	}
-}
-
-func TestStreamDeterminism(t *testing.T) {
-	for _, kind := range []Kind{KindXoshiro, KindMT19937, KindSplitMix} {
-		a := NewStream(kind, 5).Next()
-		b := NewStream(kind, 5).Next()
-		for i := 0; i < 100; i++ {
-			if a.Uint64() != b.Uint64() {
-				t.Fatalf("kind %d: streams from equal seeds diverge", kind)
-			}
-		}
-	}
-}
-
 // TestNewGolden pins the first four outputs of New(kind, seed) for
 // every generator family. Seeded generators built through New back
 // repro.NewSource, the examples and the benchmark's cover graphs, so a

@@ -1,9 +1,8 @@
 package rng
 
 // SplitMix64 is Steele, Lea and Flood's 64-bit SplitMix generator. It is
-// used here primarily to expand a single master seed into independent
-// seeds for child generators (see NewStream), and is itself a perfectly
-// serviceable math/rand.Source64.
+// used here primarily to mix a user-facing seed into a generator seed
+// (see New), and is itself a perfectly serviceable math/rand.Source64.
 type SplitMix64 struct {
 	state uint64
 }

@@ -193,14 +193,16 @@ func (j *journal) writeUnit(rec UnitRecord) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(j.dir, unitFile(rec.Unit), append(data, '\n'), false)
+	return WriteFileAtomic(j.dir, unitFile(rec.Unit), append(data, '\n'), false)
 }
 
-// atomicWrite writes name into dir via a hidden unique temp file, fsync
-// and rename, so a reader (or crash recovery) only ever sees a complete
-// file; syncDir additionally fsyncs the directory entry (used for the
-// manifest, which anchors the whole journal).
-func atomicWrite(dir, name string, data []byte, syncDir bool) error {
+// WriteFileAtomic writes name into dir via a hidden unique temp file
+// (".<name>.tmp-*"), fsync and rename, so a reader (or crash recovery)
+// only ever sees a complete file plus, after a crash, at most some temp
+// debris. syncDir additionally fsyncs the directory entry, making the
+// rename itself durable (used for the journal manifest, which anchors
+// the whole journal, and for the serving layer's result spills).
+func WriteFileAtomic(dir, name string, data []byte, syncDir bool) error {
 	f, err := os.CreateTemp(dir, "."+name+".tmp-")
 	if err != nil {
 		return err
@@ -284,7 +286,7 @@ func openCheckpoint(pl *SweepPlan, cfg Config, ck *Checkpoint) (map[int]UnitReco
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := atomicWrite(ck.Dir, manifestFile, append(mdata, '\n'), true); err != nil {
+		if err := WriteFileAtomic(ck.Dir, manifestFile, append(mdata, '\n'), true); err != nil {
 			return nil, nil, fmt.Errorf("sim: checkpoint manifest: %w", err)
 		}
 		return nil, &journal{dir: ck.Dir}, nil

@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -19,21 +20,20 @@ func dynRing(n int) *graph.Graph {
 	return g
 }
 
-// A zero-delta overlay must give the same trajectory (same draws from
-// the same generator) as the static fast path on the frozen base. The
-// dynamic path reads adjacency through the interface, but on an
-// untouched overlay AppendAdj returns the CSR adjacency in CSR order,
-// and the uniform blue choice consumes exactly one Intn per step, like
-// the fused static path.
+// On a ring, a zero-delta overlay gives the same trajectory (same draws
+// from the same generator) as the static path on the frozen base. That
+// is a property of degree 2, not of the engine: the dynamic path offers
+// a vertex's unvisited halves in CSR order, the static path in its
+// pending block's swap-with-last order, and the two orders agree only
+// while a block holds at most two halves. On higher degrees the engines
+// agree in law, not draw for draw (TestDynEProcessZeroChurnMatchesKernelInLaw).
+// The uniform blue choice consumes exactly one Intn per step on both.
 func TestDynEProcessZeroDeltaMatchesStatic(t *testing.T) {
 	g := dynRing(64)
 	o := graph.NewOverlay(g)
 
-	static := NewEProcessOn(g, rng.NewXoshiro256(99), nil, 0)
+	static := NewEProcess(g, rng.NewXoshiro256(99), nil, 0)
 	dyn := NewEProcessOn(o, rng.NewXoshiro256(99), nil, 0)
-	if static.topo != nil {
-		t.Fatal("NewEProcessOn(*graph.Graph) did not route to the static path")
-	}
 	if dyn.topo == nil {
 		t.Fatal("NewEProcessOn(*graph.Overlay) did not route to the dynamic path")
 	}
@@ -70,9 +70,6 @@ func TestDynEProcessDeterministic(t *testing.T) {
 				if err := o.RestoreEdge(o.RemovedEdgeAt(churn.Intn(o.RemovedEdges()))); err != nil {
 					panic(err)
 				}
-			}
-			if i%101 == 50 {
-				o.AddEdge(churn.Intn(32), churn.Intn(32))
 			}
 			_, v := e.Step()
 			trace = append(trace, v)
@@ -166,92 +163,6 @@ func TestDynEProcessIsolatedLazyStay(t *testing.T) {
 	}
 }
 
-// Adding edges mid-walk extends the edge-ID space; the visited set must
-// grow to cover the new IDs and the new edges must be offered as blue
-// candidates.
-func TestDynEProcessVisitedGrowsWithAddedEdges(t *testing.T) {
-	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}})
-	g.Freeze()
-	o := graph.NewOverlay(g)
-	e := NewEProcessOn(o, rng.NewXoshiro256(9), nil, 0)
-
-	for i := 0; i < 4; i++ {
-		e.Step()
-	}
-	// Ring covered (4 edges, walk at its start or somewhere on it). Add
-	// a chord at the current vertex: the only unvisited edge anywhere.
-	cur := e.Current()
-	id, err := o.AddEdge(cur, (cur+2)%4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 4 {
-		t.Fatalf("added edge got ID %d, want 4", id)
-	}
-	if e.EdgeVisited(id) {
-		t.Fatal("freshly added edge reads visited before growth")
-	}
-	got, v := e.Step()
-	if got != id {
-		t.Fatalf("Step() crossed edge %d, want the fresh chord %d", got, id)
-	}
-	if v != (cur+2)%4 {
-		t.Fatalf("chord led to %d, want %d", v, (cur+2)%4)
-	}
-	if !e.EdgeVisited(id) {
-		t.Fatal("chord not marked visited after crossing")
-	}
-	if e.Stats().BlueSteps != 5 {
-		t.Fatalf("BlueSteps = %d, want 5", e.Stats().BlueSteps)
-	}
-}
-
-// VProcess and Biased on a zero-delta overlay behave like walks on the
-// base graph (VProcess draw-for-draw; Biased draw-for-draw given the
-// same coin sequence), and both lazily stay on isolated vertices.
-func TestDynVProcessAndBiased(t *testing.T) {
-	g := dynRing(16)
-	o := graph.NewOverlay(g)
-
-	vs := NewVProcessOn(g, rng.NewXoshiro256(41), 0)
-	vd := NewVProcessOn(o, rng.NewXoshiro256(41), 0)
-	for i := 0; i < 200; i++ {
-		se, sv := vs.Step()
-		de, dv := vd.Step()
-		if se != de || sv != dv {
-			t.Fatalf("vprocess step %d: static (%d,%d) != dynamic (%d,%d)", i, se, sv, de, dv)
-		}
-	}
-
-	bs := NewBiasedOn(g, rand.New(rand.NewSource(43)), 0.5, 0)
-	bd := NewBiasedOn(o, rand.New(rand.NewSource(43)), 0.5, 0)
-	for i := 0; i < 200; i++ {
-		se, sv := bs.Step()
-		de, dv := bd.Step()
-		if se != de || sv != dv {
-			t.Fatalf("biased step %d: static (%d,%d) != dynamic (%d,%d)", i, se, sv, de, dv)
-		}
-	}
-
-	// Isolate vertex 0 on a fresh overlay: both walks must report a lazy
-	// stay rather than panic.
-	o2 := graph.NewOverlay(g)
-	if err := o2.RemoveEdge(0); err != nil { // {0,1}
-		t.Fatal(err)
-	}
-	if err := o2.RemoveEdge(15); err != nil { // {15,0}
-		t.Fatal(err)
-	}
-	v2 := NewVProcessOn(o2, rng.NewXoshiro256(1), 0)
-	if id, v := v2.Step(); id != -1 || v != 0 {
-		t.Fatalf("isolated VProcess Step() = (%d,%d), want (-1,0)", id, v)
-	}
-	b2 := NewBiasedOn(o2, rand.New(rand.NewSource(1)), 0.5, 0)
-	if id, v := b2.Step(); id != -1 || v != 0 {
-		t.Fatalf("isolated Biased Step() = (%d,%d), want (-1,0)", id, v)
-	}
-}
-
 // VertexCoverCensored: budget exhaustion on a disconnected topology is
 // a censored outcome, not an error, and the hook fires before every
 // step (the injection point for churn).
@@ -327,35 +238,52 @@ func TestVertexCoverCensored(t *testing.T) {
 	}
 }
 
-// Reset after a Commit rebases the walk onto the compacted topology:
-// the visited set is sized to the new edge-ID bound and the walk runs
-// clean on the rebased overlay.
-func TestDynEProcessResetAfterCommit(t *testing.T) {
-	g := dynRing(12)
-	o := graph.NewOverlay(g)
-	o.CommitThreshold = 1
-	e := NewEProcessOn(o, rng.NewXoshiro256(31), nil, 0)
-	for i := 0; i < 30; i++ {
-		e.Step()
-	}
-	if err := o.RemoveEdge(0); err != nil {
-		t.Fatal(err)
-	}
-	o.AddEdge(3, 9)
-	o.AddEdge(5, 11)
-	if _, rebased := o.Commit(); !rebased {
-		t.Fatal("Commit over threshold did not rebase")
-	}
-	e.Reset(0)
-	if e.Graph() != o.Base() {
-		t.Fatal("Reset did not rebind to the rebased base graph")
-	}
+// The dynamic engine on an untouched overlay runs the uniform-rule
+// E-process, so its vertex cover time must have the same law as the
+// static cover kernel's. The two do not agree draw for draw beyond
+// degree 2 (see TestDynEProcessZeroDeltaMatchesStatic), so this
+// compares the means of 400 covers each, on disjoint fixed seeds, of
+// one fixed random 4-regular graph: the difference must stay within 4
+// standard errors. The seeds are fixed, so the test is deterministic.
+func TestDynEProcessZeroChurnMatchesKernelInLaw(t *testing.T) {
+	const covers = 400
+	g := mustRegular(t, newRand(2024), 24, 4)
+	g.Freeze()
 	var sc CoverScratch
-	out, err := sc.VertexCoverCensored(e, 100_000, nil)
-	if err != nil {
-		t.Fatal(err)
+	var dyn, ker []float64
+	for i := 0; i < covers; i++ {
+		e := NewEProcessOn(graph.NewOverlay(g), rng.NewXoshiro256(uint64(1+i)), nil, 0)
+		out, err := sc.VertexCoverCensored(e, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Uncovered != 0 {
+			t.Fatalf("dynamic run %d left %d vertices uncovered", i, out.Uncovered)
+		}
+		dyn = append(dyn, float64(out.Steps))
+		steps, err := sc.UniformVertexCover(g, rng.NewXoshiro256(uint64(100_001+i)), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ker = append(ker, float64(steps))
 	}
-	if out.Uncovered != 0 {
-		t.Fatalf("rebased cover left %d vertices uncovered", out.Uncovered)
+	md, vd := meanVar(dyn)
+	mk, vk := meanVar(ker)
+	z := (md - mk) / math.Sqrt(vd/covers+vk/covers)
+	t.Logf("dynamic mean %.3f, kernel mean %.3f, z = %.3f", md, mk, z)
+	if math.Abs(z) > 4 {
+		t.Fatalf("dynamic mean %.3f vs kernel mean %.3f: z = %.2f exceeds 4", md, mk, z)
 	}
+}
+
+// meanVar returns the sample mean and unbiased sample variance of xs.
+func meanVar(xs []float64) (mean, variance float64) {
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	for _, x := range xs {
+		variance += (x - mean) * (x - mean)
+	}
+	return mean, variance / float64(len(xs)-1)
 }

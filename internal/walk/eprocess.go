@@ -82,15 +82,15 @@ type EProcess struct {
 	halves []graph.Half
 	off    []int32
 
-	// Dynamic-topology mode (NewEProcessOn with a mutable topology):
-	// topo is non-nil, the pending arena is unused, and adjacency reads
-	// go through the Topology interface into a per-vertex live-adjacency
-	// cache. adjFresh is the cache-validity set, generation-stamped with
-	// the topology's epoch: a churn event only bumps the epoch, and the
-	// walk's next Sync lazily invalidates every cached block at once —
-	// no reallocation, no eager clearing per event. The static path
-	// (topo == nil) never touches any of this.
-	topo     graph.Topology
+	// Dynamic mode (NewEProcessOn): topo is non-nil, the pending arena
+	// is unused, and adjacency reads go through the overlay's removal
+	// mask into a per-vertex live-adjacency cache. adjFresh is the
+	// cache-validity set, generation-stamped with the overlay's epoch: a
+	// churn event only bumps the epoch, and the walk's next Sync lazily
+	// invalidates every cached block at once — no reallocation, no eager
+	// clearing per event. The static path (topo == nil) never touches
+	// any of this.
+	topo     *graph.Overlay
 	adjCache [][]graph.Half
 	adjFresh bits.Set
 	buf      []graph.Half // unvisited-halves scratch for the blue choice
@@ -122,23 +122,18 @@ func NewEProcess(g *graph.Graph, r Intner, rule Rule, start int) *EProcess {
 	return e
 }
 
-// NewEProcessOn returns an E-process on an arbitrary topology. A plain
-// *graph.Graph routes to NewEProcess — the devirtualized static fast
-// path, draw-for-draw identical to always — while a mutable topology
-// (e.g. *graph.Overlay) gets the dynamic path: adjacency is read
-// through the interface, cached per vertex, and invalidated lazily via
-// the topology's epoch, so edges may be added, removed and restored
-// between steps. On a vertex whose incident edges have all been
-// removed, Step reports a lazy stay (edge ID −1, position unchanged)
-// until churn reconnects it.
-func NewEProcessOn(t graph.Topology, r Intner, rule Rule, start int) *EProcess {
-	if g, ok := t.(*graph.Graph); ok {
-		return NewEProcess(g, r, rule, start)
-	}
+// NewEProcessOn returns an E-process on an overlay whose base edges
+// may be removed and restored between steps (a static graph uses
+// NewEProcess). Live adjacency is read through the overlay's removal
+// mask, cached per vertex, and invalidated lazily via the overlay's
+// epoch. On a vertex whose incident edges have all been removed, Step
+// reports a lazy stay (edge ID −1, position unchanged) until churn
+// reconnects it.
+func NewEProcessOn(o *graph.Overlay, r Intner, rule Rule, start int) *EProcess {
 	if rule == nil {
 		rule = Uniform{}
 	}
-	e := &EProcess{g: t.Base(), topo: t, ri: r, r: interopRand(r), rule: rule}
+	e := &EProcess{g: o.Base(), topo: o, ri: r, r: interopRand(r), rule: rule}
 	_, e.uniform = rule.(Uniform)
 	e.init(start)
 	return e
@@ -146,21 +141,19 @@ func NewEProcessOn(t graph.Topology, r Intner, rule Rule, start int) *EProcess {
 
 func (e *EProcess) init(start int) {
 	e.cur = start
+	e.visited.Reset(e.g.M())
 	if e.topo != nil {
-		e.g = e.topo.Base() // refreshed: a Commit between runs re-bases
-		e.visited.Reset(e.topo.EdgeIDBound())
-		if len(e.adjCache) != e.topo.N() {
-			e.adjCache = make([][]graph.Half, e.topo.N())
+		if len(e.adjCache) != e.g.N() {
+			e.adjCache = make([][]graph.Half, e.g.N())
 		}
 		// adjCache entries stay valid across Reset: they hold live
-		// adjacency (not visited-filtered), keyed by the topology epoch
-		// through adjFresh's generation stamp in stepDyn.
+		// adjacency (not visited-filtered), keyed by the overlay epoch
+		// through adjFresh's generation stamp in liveAdj.
 	} else {
 		// Rebind to the graph's current CSR arrays: a mutation since the
 		// last run re-froze the graph into new storage.
 		e.halves = e.g.Halves()
 		e.off = e.g.Offsets()
-		e.visited.Reset(e.g.M())
 		e.pend.reset(e.g)
 	}
 	e.stats = Stats{}
@@ -192,8 +185,8 @@ func (e *EProcess) Intn(n int) int { return e.ri.Intn(n) }
 func (e *EProcess) EdgeVisited(id int) bool { return e.visited.Test(id) }
 
 // BlueDegree returns the number of unvisited edge-endpoints at v (loops
-// count twice), i.e. the blue degree of Observation 10. On a dynamic
-// topology only live unvisited halves count.
+// count twice), i.e. the blue degree of Observation 10. On an overlay
+// only live unvisited halves count.
 func (e *EProcess) BlueDegree(v int) int {
 	if e.topo != nil {
 		count := 0
@@ -210,12 +203,11 @@ func (e *EProcess) BlueDegree(v int) int {
 // UnvisitedEdgeIDs returns the IDs of all currently unvisited edges, in
 // increasing order. Used by the blue-component analysis. Every blue
 // step visits exactly one edge, so the result has exactly
-// Len(visited) − BlueSteps entries (on a static graph, m − BlueSteps);
-// the slice is sized up front and filled by the bitset's word-at-a-time
-// scan. On a dynamic topology the result spans the full edge-ID space,
-// currently-removed (unvisited) edges included.
+// m − BlueSteps entries; the slice is sized up front and filled by the
+// bitset's word-at-a-time scan. On an overlay the result spans every
+// base edge ID, currently-removed (unvisited) edges included.
 func (e *EProcess) UnvisitedEdgeIDs() []int {
-	out := make([]int, 0, int64(e.visited.Len())-e.stats.BlueSteps)
+	out := make([]int, 0, int64(e.g.M())-e.stats.BlueSteps)
 	return e.visited.AppendUnset(out)
 }
 
@@ -323,9 +315,9 @@ func (e *EProcess) redMark() {
 }
 
 // liveAdj returns v's current live adjacency from the per-vertex cache,
-// rebuilding the entry through the Topology interface when the cache is
-// stale. Staleness is tracked by adjFresh, generation-stamped with the
-// topology's epoch: Sync is O(1) while the epoch is unchanged and one
+// rebuilding the entry from the overlay when the cache is stale.
+// Staleness is tracked by adjFresh, generation-stamped with the
+// overlay's epoch: Sync is O(1) while the epoch is unchanged and one
 // lazy clear when it moved, so a churn event costs the mutator nothing
 // here and the walk only re-reads vertices it actually touches.
 func (e *EProcess) liveAdj(v int) []graph.Half {
@@ -337,15 +329,12 @@ func (e *EProcess) liveAdj(v int) []graph.Half {
 	return e.adjCache[v]
 }
 
-// stepDyn is Step on a mutable topology: same blue-over-red preference,
-// but adjacency comes from liveAdj (epoch-invalidated cache) instead of
-// the frozen arena, the visited set grows with the edge-ID space, and a
-// vertex stripped of every live edge lazily stays put (edge ID −1).
+// stepDyn is Step on an overlay: same blue-over-red preference, but
+// adjacency comes from liveAdj (epoch-invalidated cache) instead of the
+// frozen arena, and a vertex stripped of every live edge lazily stays
+// put (edge ID −1).
 func (e *EProcess) stepDyn(v int) (int, int) {
 	adj := e.liveAdj(v)
-	if b := e.topo.EdgeIDBound(); b > e.visited.Len() {
-		e.visited.Grow(b)
-	}
 	e.buf = e.buf[:0]
 	for _, h := range adj {
 		if !e.visited.Test(int(h.ID)) {
