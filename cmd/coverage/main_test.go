@@ -4,13 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
 func TestCoverageBuildHelpers(t *testing.T) {
 	r := rand.New(rng.New(rng.KindXoshiro, 1))
-	g, err := buildGraph("regular", 40, 4, 0, r)
+	g, err := gen.Named("regular", 40, 4, 0, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +34,5 @@ func TestCoverageBuildHelpers(t *testing.T) {
 	}
 	if _, err := buildProcess("nope", g, r); err == nil {
 		t.Error("unknown process should fail")
-	}
-	if _, err := buildGraph("nope", 10, 3, 3, r); err == nil {
-		t.Error("unknown graph should fail")
 	}
 }

@@ -4,43 +4,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/rng"
 	"repro/internal/walk"
 )
 
 func testRand() *rand.Rand { return rand.New(rng.New(rng.KindXoshiro, 1)) }
-
-func TestBuildGraphKinds(t *testing.T) {
-	r := testRand()
-	cases := []struct {
-		kind   string
-		n, deg int
-		dim    int
-	}{
-		{"regular", 50, 4, 0},
-		{"regular", 51, 3, 0}, // odd n·d bumped internally
-		{"hypercube", 0, 0, 5},
-		{"torus", 25, 0, 0},
-		{"cycle", 12, 0, 0},
-		{"circulant", 36, 0, 0},
-		{"rgg", 60, 0, 0},
-	}
-	for _, tc := range cases {
-		g, err := buildGraph(tc.kind, tc.n, tc.deg, tc.dim, r)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.kind, err)
-		}
-		if g.N() == 0 {
-			t.Errorf("%s: empty graph", tc.kind)
-		}
-		if !g.IsConnected() {
-			t.Errorf("%s: disconnected", tc.kind)
-		}
-	}
-	if _, err := buildGraph("nope", 10, 3, 3, r); err == nil {
-		t.Error("unknown kind should fail")
-	}
-}
 
 func TestRuleByName(t *testing.T) {
 	names := map[string]string{
@@ -61,7 +30,7 @@ func TestRuleByName(t *testing.T) {
 
 func TestBuildProcessKinds(t *testing.T) {
 	r := testRand()
-	g, err := buildGraph("torus", 25, 0, 0, r)
+	g, err := gen.Named("torus", 25, 0, 0, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,11 @@
 // execute one under a context, returning a uniform Result: the typed
 // rows, the rendered *Table, optional notes, and a reproduction stamp
 // (seed, trials, scale) with a stable JSON encoding (WriteJSON /
-// ReadResult) and a markdown rendering (WriteMarkdown). The thin ExpXxx
-// functions are compatibility wrappers delegating to the registry;
-// cmd/sweep drives its -list, selection, sharding, JSON and -report
-// output entirely from Registry(),
-// and package repro re-exports the harness as repro.Experiments /
-// repro.RunExperiment. The generated index lives in EXPERIMENTS.md;
+// ReadResult) and a markdown rendering (WriteMarkdown). The registry is
+// the only way an experiment runs: cmd/sweep drives its -list,
+// selection, sharding, JSON and -report output entirely from
+// Registry(), and package repro re-exports the harness as
+// repro.Experiments / repro.RunExperiment. The generated index lives in EXPERIMENTS.md;
 // `go run ./cmd/sweep -list` prints the live registry.
 //
 // # Sweep model

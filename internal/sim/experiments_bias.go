@@ -57,15 +57,6 @@ func biasSweepPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]BiasRow, *
 	return plan, finish
 }
 
-// ExpBiasSweep sweeps the unvisited-edge preference strength from 0
-// (plain SRW) to 1 (the paper's E-process) on a random 4-regular graph.
-// The paper analyses only bias = 1; the sweep shows how the linear
-// cover time emerges as the preference becomes strict — the constant
-// improves smoothly but the Θ(n) plateau only appears near bias 1.
-func ExpBiasSweep(cfg ExpConfig) ([]BiasRow, *Table, error) {
-	return runTyped[[]BiasRow]("bias", cfg)
-}
-
 func init() {
 	register(Experiment{Name: "bias", Salt: saltBIAS,
 		Desc: "Cover time vs unvisited-preference strength",

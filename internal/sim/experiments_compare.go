@@ -74,12 +74,6 @@ func hypercubePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]HypercubeR
 	return plan, finish
 }
 
-// ExpHypercube contrasts E-process and SRW edge cover on H_r: the paper
-// argues Θ(n log n) vs Θ(n log² n), beating the eq. (2) bound.
-func ExpHypercube(cfg ExpConfig) ([]HypercubeRow, *Table, error) {
-	return runTyped[[]HypercubeRow]("hcube", cfg)
-}
-
 // --- STAR: Section 5 isolated blue stars on odd-degree graphs -------------
 
 // StarRow is one (degree, n) census of the STAR experiment.
@@ -139,12 +133,6 @@ func oddStarsPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]StarRow, *T
 	return plan, finish
 }
 
-// ExpOddStars runs the Section 5 star census: 3-regular graphs should
-// produce ≈ n/8 isolated blue stars; even degrees exactly 0.
-func ExpOddStars(cfg ExpConfig) ([]StarRow, *Table, error) {
-	return runTyped[[]StarRow]("star", cfg)
-}
-
 // --- RULEA: rule independence ---------------------------------------------
 
 // RuleRow is one rule's cover time in the RULEA experiment.
@@ -200,13 +188,6 @@ func ruleIndependencePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Rul
 		return rows, t, nil
 	}
 	return plan, finish
-}
-
-// ExpRuleIndependence runs the E-process under every implemented rule A
-// on the same graph family; Theorem 1 predicts all normalised cover
-// times stay O(1) on even-degree expanders, adversarial rules included.
-func ExpRuleIndependence(cfg ExpConfig) ([]RuleRow, *Table, error) {
-	return runTyped[[]RuleRow]("rulea", cfg)
 }
 
 // --- P1P2: random regular structural properties ---------------------------
@@ -281,12 +262,6 @@ func randomRegularPropertiesPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult)
 	return plan, finish
 }
 
-// ExpRandomRegularProperties verifies (P1) and (P2) numerically on
-// sampled random regular graphs.
-func ExpRandomRegularProperties(cfg ExpConfig) ([]PropertyRow, *Table, error) {
-	return runTyped[[]PropertyRow]("p1p2", cfg)
-}
-
 // --- GRW: Orenshtein–Shinkar greedy random walk ---------------------------
 
 // GreedyRow is one degree point of the GRW experiment.
@@ -348,12 +323,6 @@ func greedyWalkPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]GreedyRow
 		return rows, t, nil
 	}
 	return plan, finish
-}
-
-// ExpGreedyWalk measures GRW edge cover against the eq. (2) bound,
-// including an r = Θ(log n) family where the bound is Θ(m).
-func ExpGreedyWalk(cfg ExpConfig) ([]GreedyRow, *Table, error) {
-	return runTyped[[]GreedyRow]("grw", cfg)
 }
 
 // --- RWC / ROTOR / FAIR: comparison processes -----------------------------
@@ -429,14 +398,6 @@ func processComparisonPlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Co
 		return rows, t, nil
 	}
 	return plan, finish
-}
-
-// ExpProcessComparison runs SRW, E-process, RWC(2), RWC(3), the
-// rotor-router and the locally fair walks on a torus and a random
-// geometric graph (the Avin–Krishnamachari setting) plus a random
-// 4-regular expander.
-func ExpProcessComparison(cfg ExpConfig) ([]CompareRow, *Table, error) {
-	return runTyped[[]CompareRow]("compare", cfg)
 }
 
 func init() {

@@ -101,16 +101,3 @@ func init() {
 			}, nil
 		}})
 }
-
-// ExpDegreeSequence measures the E-process on the second family of the
-// paper's Corollary 2 discussion: fixed degree sequence random graphs
-// with all degrees even, finite and at least 4 (here a 50/30/20 mixture
-// of degrees 4, 6 and 8). The Θ(n) conclusion must survive the loss of
-// regularity. It delegates to the "degseq" registry entry.
-func ExpDegreeSequence(cfg ExpConfig) ([]DegSeqRow, *Table, stats.Growth, error) {
-	bundle, t, err := runTyped[DegSeqResult]("degseq", cfg)
-	if err != nil {
-		return nil, nil, stats.Growth{}, err
-	}
-	return bundle.Rows, t, bundle.Growth, nil
-}

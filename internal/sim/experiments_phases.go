@@ -98,15 +98,6 @@ func phaseStructurePlan(cfg ExpConfig) (*SweepPlan, func([]PointResult) ([]Phase
 	return plan, finish
 }
 
-// ExpPhaseStructure measures the blue-phase decomposition the proofs
-// build on: on even-degree graphs the first blue phase is a macroscopic
-// Euler-like sweep and the residue fragments into short phases; on odd
-// degrees phases terminate early (no parity guarantee), so the count is
-// much larger and the first phase smaller.
-func ExpPhaseStructure(cfg ExpConfig) ([]PhaseRow, *Table, error) {
-	return runTyped[[]PhaseRow]("phases", cfg)
-}
-
 func init() {
 	register(Experiment{Name: "phases", Salt: saltPHASES,
 		Desc: "Blue-phase decomposition of the E-process",

@@ -2,14 +2,30 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
-// The experiment functions are exercised end-to-end at trials=2 and the
-// smallest scale; the benches and CLIs run the real sizes. These tests
-// assert structural sanity, not asymptotics (which need larger n).
+// The registry experiments are exercised end-to-end at trials=2 and the
+// smallest scale; the CLIs run the real sizes. These tests assert
+// structural sanity, not asymptotics (which need larger n).
 
 func expCfg() ExpConfig { return ExpConfig{Seed: 123, Trials: 2, Scale: 1} }
+
+// runRows runs the registry experiment name and returns its rows at
+// their concrete in-process type R, with the rendered table.
+func runRows[R any](t *testing.T, name string, cfg ExpConfig) (R, *Table) {
+	t.Helper()
+	res, err := RunExperiment(context.Background(), name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, ok := res.Rows.(R)
+	if !ok {
+		t.Fatalf("%s rows are %T, want %T", name, res.Rows, rows)
+	}
+	return rows, res.Table
+}
 
 func renderOK(t *testing.T, tb *Table) {
 	t.Helper()
@@ -23,10 +39,7 @@ func renderOK(t *testing.T, tb *Table) {
 }
 
 func TestExpTheorem1(t *testing.T) {
-	rows, tb, err := ExpTheorem1(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]Theorem1Row](t, "thm1", expCfg())
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -48,10 +61,7 @@ func TestExpTheorem1(t *testing.T) {
 }
 
 func TestExpRadzikSpeedup(t *testing.T) {
-	rows, tb, err := ExpRadzikSpeedup(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]SpeedupRow](t, "radzik", expCfg())
 	for _, r := range rows {
 		if r.Speedup <= 0 {
 			t.Errorf("n=%d: speedup %v", r.N, r.Speedup)
@@ -69,10 +79,7 @@ func TestExpRadzikSpeedup(t *testing.T) {
 }
 
 func TestExpCorollary2(t *testing.T) {
-	res, tb, err := ExpCorollary2(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, tb := runRows[[]Corollary2Result](t, "cor2", expCfg())
 	if len(res) != 2 {
 		t.Fatalf("degrees = %d", len(res))
 	}
@@ -88,10 +95,7 @@ func TestExpCorollary2(t *testing.T) {
 }
 
 func TestExpEdgeSandwich(t *testing.T) {
-	rows, tb, err := ExpEdgeSandwich(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]SandwichRow](t, "eq3", expCfg())
 	for _, r := range rows {
 		if !r.Holds {
 			t.Errorf("n=%d: sandwich violated: C_E=%v not in [%v, %v·1.25]", r.N, r.EdgeCover, r.Lo, r.Hi)
@@ -104,10 +108,7 @@ func TestExpEdgeSandwich(t *testing.T) {
 }
 
 func TestExpTheorem3(t *testing.T) {
-	rows, tb, err := ExpTheorem3(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]EdgeCoverRow](t, "thm3", expCfg())
 	if len(rows) != 4 {
 		t.Fatalf("families = %d", len(rows))
 	}
@@ -126,10 +127,7 @@ func TestExpTheorem3(t *testing.T) {
 }
 
 func TestExpCorollary4(t *testing.T) {
-	rows, tb, err := ExpCorollary4(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]Corollary4Row](t, "cor4", expCfg())
 	for _, r := range rows {
 		if r.PerN < 2 {
 			t.Errorf("n=%d: C_E/n = %v below m/n = 2", r.N, r.PerN)
@@ -139,10 +137,7 @@ func TestExpCorollary4(t *testing.T) {
 }
 
 func TestExpHypercube(t *testing.T) {
-	rows, tb, err := ExpHypercube(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]HypercubeRow](t, "hcube", expCfg())
 	for _, r := range rows {
 		if r.EProcess >= r.SRW {
 			t.Errorf("H%d: E-process edge cover (%v) not below SRW (%v)", r.R, r.EProcess, r.SRW)
@@ -155,10 +150,7 @@ func TestExpHypercube(t *testing.T) {
 }
 
 func TestExpOddStars(t *testing.T) {
-	rows, tb, err := ExpOddStars(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]StarRow](t, "star", expCfg())
 	var r3, r4 StarRow
 	for _, r := range rows {
 		switch r.Degree {
@@ -178,10 +170,7 @@ func TestExpOddStars(t *testing.T) {
 }
 
 func TestExpRuleIndependence(t *testing.T) {
-	rows, tb, err := ExpRuleIndependence(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]RuleRow](t, "rulea", expCfg())
 	if len(rows) != 6 {
 		t.Fatalf("rules = %d, want 6", len(rows))
 	}
@@ -197,10 +186,7 @@ func TestExpRuleIndependence(t *testing.T) {
 }
 
 func TestExpRandomRegularProperties(t *testing.T) {
-	rows, tb, err := ExpRandomRegularProperties(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]PropertyRow](t, "p1p2", expCfg())
 	for _, r := range rows {
 		if !r.P1Holds {
 			t.Errorf("deg %d: (P1) failed: λ2(adj)=%v > %v", r.Degree, r.Lambda2Adj, r.AlonBound)
@@ -213,10 +199,7 @@ func TestExpRandomRegularProperties(t *testing.T) {
 }
 
 func TestExpGreedyWalk(t *testing.T) {
-	rows, tb, err := ExpGreedyWalk(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]GreedyRow](t, "grw", expCfg())
 	if len(rows) < 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -229,10 +212,7 @@ func TestExpGreedyWalk(t *testing.T) {
 }
 
 func TestExpProcessComparison(t *testing.T) {
-	rows, tb, err := ExpProcessComparison(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]CompareRow](t, "compare", expCfg())
 	if len(rows) != 21 { // 3 families × 7 processes
 		t.Fatalf("rows = %d, want 21", len(rows))
 	}
@@ -249,10 +229,7 @@ func TestExpProcessComparison(t *testing.T) {
 }
 
 func TestExpEdgeVsVertexPreference(t *testing.T) {
-	rows, tb, err := ExpEdgeVsVertexPreference(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]AblationRow](t, "ablation", expCfg())
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
 	}
@@ -272,10 +249,7 @@ func TestExpEdgeVsVertexPreference(t *testing.T) {
 }
 
 func TestExpAblationGrowth(t *testing.T) {
-	rows, tb, err := ExpAblationGrowth(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]GrowthByProcess](t, "growth", expCfg())
 	if len(rows) != 3 {
 		t.Fatalf("processes = %d", len(rows))
 	}
@@ -288,10 +262,7 @@ func TestExpAblationGrowth(t *testing.T) {
 }
 
 func TestExpBiasSweep(t *testing.T) {
-	rows, tb, err := ExpBiasSweep(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]BiasRow](t, "bias", expCfg())
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
 	}
@@ -306,10 +277,7 @@ func TestExpBiasSweep(t *testing.T) {
 }
 
 func TestExpBlanketTime(t *testing.T) {
-	rows, tb, err := ExpBlanketTime(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]BlanketRow](t, "eq4", expCfg())
 	for _, r := range rows {
 		if r.Blanket < r.SRWCover*0.5 {
 			t.Errorf("n=%d: blanket time %v implausibly below cover %v", r.N, r.Blanket, r.SRWCover)
@@ -325,10 +293,7 @@ func TestExpBlanketTime(t *testing.T) {
 }
 
 func TestExpLemma13(t *testing.T) {
-	rows, tb, err := ExpLemma13(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]Lemma13Row](t, "lemma13", expCfg())
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -343,10 +308,7 @@ func TestExpLemma13(t *testing.T) {
 }
 
 func TestExpPhaseStructure(t *testing.T) {
-	rows, tb, err := ExpPhaseStructure(expCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := runRows[[]PhaseRow](t, "phases", expCfg())
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -376,19 +338,16 @@ func TestExpPhaseStructure(t *testing.T) {
 }
 
 func TestExpDegreeSequence(t *testing.T) {
-	rows, tb, growth, err := ExpDegreeSequence(expCfg())
-	if err != nil {
-		t.Fatal(err)
+	res, tb := runRows[DegSeqResult](t, "degseq", expCfg())
+	if len(res.Rows) != 4 {
+		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		if r.Normalized < 1 || r.Normalized > 50 {
 			t.Errorf("n=%d: C_V/n = %v implausible", r.N, r.Normalized)
 		}
 	}
-	if growth.Verdict == "" {
+	if res.Growth.Verdict == "" {
 		t.Error("no growth verdict")
 	}
 	renderOK(t, tb)

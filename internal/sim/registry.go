@@ -15,8 +15,8 @@ import (
 // experiments*.go and figure1.go registers itself at init time under a
 // stable name, its CLI description, and its seed-salt namespace, and
 // exposes its sweep through a uniform Plan function. CLIs (cmd/sweep,
-// cmd/sweepd, cmd/reprod) and library users (package repro) enumerate Registry()
-// instead of maintaining name→wrapper lists by hand, and run any
+// cmd/sweepd, cmd/reprod) and library users (package repro) enumerate
+// Registry() instead of keeping name lists by hand, and run any
 // experiment through the context-aware Experiment.Run / RunExperiment.
 
 // Finish aggregates a completed plan's points into the experiment's
@@ -182,8 +182,8 @@ func RunExperiment(ctx context.Context, name string, cfg ExpConfig) (*Result, er
 }
 
 // Result is the uniform outcome of one registry experiment: the typed
-// rows the experiment's Exp function returns, the rendered table, and
-// the reproduction stamp. Its JSON encoding (WriteJSON) is stable: a
+// rows its finish step builds, the rendered table, and the
+// reproduction stamp. Its JSON encoding (WriteJSON) is stable: a
 // pure function of (experiment, master seed, trials, scale),
 // byte-identical across Workers settings and scheduler interleavings.
 type Result struct {
@@ -199,8 +199,8 @@ type Result struct {
 	// "thm1"; "degseq" wraps rows and growth fit in a DegSeqResult).
 	// After a JSON round trip it decodes as generic []any / map values.
 	Rows any `json:"rows"`
-	// Table is the rendered table — exactly what the pre-registry
-	// ExpXxx functions returned.
+	// Table is the rendered form of Rows: the table cmd/sweep prints
+	// and WriteMarkdown renders.
 	Table *Table `json:"table"`
 	// Notes are extra human-readable lines printed after the table
 	// (e.g. Figure 1's per-degree growth verdicts).
@@ -292,20 +292,4 @@ func adapt[R any](plan func(ExpConfig) (*SweepPlan, func([]PointResult) (R, *Tab
 			return &Result{Rows: rows, Table: t}, nil
 		}, nil
 	}
-}
-
-// runTyped runs a registered experiment on a background context and
-// returns its rows at their concrete type — the delegation target of
-// the thin ExpXxx compatibility wrappers.
-func runTyped[R any](name string, cfg ExpConfig) (R, *Table, error) {
-	var zero R
-	res, err := RunExperiment(context.Background(), name, cfg)
-	if err != nil {
-		return zero, nil, err
-	}
-	rows, ok := res.Rows.(R)
-	if !ok {
-		return zero, nil, fmt.Errorf("sim: %s rows are %T, not %T", name, res.Rows, zero)
-	}
-	return rows, res.Table, nil
 }
