@@ -2,44 +2,30 @@ package main
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/rng"
 )
 
+// TestGraphinfoBuildGraph builds every family the -graph help lists,
+// the way run does, and checks each passes Validate.
 func TestGraphinfoBuildGraph(t *testing.T) {
 	r := rand.New(rng.New(rng.KindXoshiro, 1))
-	kinds := []struct {
-		kind string
-		n    int
-	}{
-		{"regular", 40},
-		{"hypercube", 0},
-		{"torus", 16},
-		{"cycle", 9},
-		{"circulant", 25},
-		{"rgg", 50},
-		{"margulis", 16},
-	}
-	for _, tc := range kinds {
-		g, err := buildGraph(tc.kind, tc.n, 4, 4, r)
+	for _, kind := range strings.Split(gen.NamedKinds, " | ") {
+		g, err := gen.Named(kind, 40, 4, 4, r)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.kind, err)
+			t.Fatalf("%s: %v", kind, err)
 		}
 		if g.N() == 0 {
-			t.Errorf("%s: empty graph", tc.kind)
+			t.Errorf("%s: empty graph", kind)
 		}
 		if err := g.Validate(); err != nil {
-			t.Errorf("%s: %v", tc.kind, err)
+			t.Errorf("%s: %v", kind, err)
 		}
 	}
-	if _, err := buildGraph("nope", 10, 4, 4, r); err == nil {
+	if _, err := gen.Named("nope", 10, 4, 4, r); err == nil {
 		t.Error("unknown kind should fail")
-	}
-}
-
-func TestMaxIntHelper(t *testing.T) {
-	if maxInt(3, 5) != 5 || maxInt(5, 3) != 5 || maxInt(-1, -2) != -1 {
-		t.Error("maxInt wrong")
 	}
 }
