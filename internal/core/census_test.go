@@ -44,3 +44,52 @@ func TestCensusOutputPinned(t *testing.T) {
 		}
 	}
 }
+
+// Census's output order on a multigraph must not depend on map
+// iteration: an 8-cycle with every other edge doubled has four
+// 2-cycles, and 50 calls must list them identically.
+func TestCensusDeterministicOnMultigraph(t *testing.T) {
+	g := graph.New(8)
+	for i := 0; i < 8; i++ {
+		if err := g.AddEdge(i, (i+1)%8); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			if err := g.AddEdge(i, i+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	first, err := Census(g, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts := CycleCounts(first, 4); counts[2] != 4 {
+		t.Fatalf("2-cycles = %d, want 4", counts[2])
+	}
+	want := fmt.Sprint(first)
+	for call := 1; call < 50; call++ {
+		cycles, err := Census(g, 4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(cycles); got != want {
+			t.Fatalf("call %d: census %s, first call gave %s", call, got, want)
+		}
+	}
+}
+
+func BenchmarkCensus(b *testing.B) {
+	g, err := gen.RandomRegularSW(rand.New(rand.NewSource(1)), 1000, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.Freeze()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Census(g, 6, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

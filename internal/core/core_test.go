@@ -540,19 +540,6 @@ func TestIsolatedStarCentersDirect(t *testing.T) {
 	}
 }
 
-func BenchmarkCensusRandomRegular(b *testing.B) {
-	g, err := gen.RandomRegularSW(newRand(1), 500, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Census(g, 8, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAnalyzeBlue(b *testing.B) {
 	g, err := gen.RandomRegularSW(newRand(2), 300, 4)
 	if err != nil {

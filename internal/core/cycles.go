@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -43,26 +45,31 @@ func Census(g *graph.Graph, maxLen, cap int) ([]Cycle, error) {
 		return out, nil
 	}
 
-	// Loops and parallel edges.
-	type pair struct{ u, v int }
-	seenPair := make(map[pair][]int)
+	// Loops, in edge-ID order.
 	for id := 0; id < g.M(); id++ {
-		e := g.Edge(id)
-		if e.IsLoop() {
+		if e := g.Edge(id); e.IsLoop() {
 			out = append(out, Cycle{Vertices: []int{e.U}, Edges: []int{id}})
-			continue
 		}
-		p := pair{e.U, e.V}
-		if p.u > p.v {
-			p.u, p.v = p.v, p.u
-		}
-		seenPair[p] = append(seenPair[p], id)
 	}
+	n := g.N()
+	// Parallel edges, in (u, v) order and edge-ID order within a pair:
+	// the halves at u leading up the labels are sorted by (To, ID), and
+	// each run of equal To yields one 2-cycle per pair of its edges.
 	if maxLen >= 2 {
-		for p, ids := range seenPair {
-			for i := 0; i < len(ids); i++ {
-				for j := i + 1; j < len(ids); j++ {
-					out = append(out, Cycle{Vertices: []int{p.u, p.v}, Edges: []int{ids[i], ids[j]}})
+		var up []graph.Half
+		for u := 0; u < n; u++ {
+			up = up[:0]
+			for _, h := range g.Adj(u) {
+				if int(h.To) > u {
+					up = append(up, h)
+				}
+			}
+			slices.SortFunc(up, func(a, b graph.Half) int {
+				return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.ID, b.ID))
+			})
+			for i := range up {
+				for j := i + 1; j < len(up) && up[j].To == up[i].To; j++ {
+					out = append(out, Cycle{Vertices: []int{u, int(up[i].To)}, Edges: []int{int(up[i].ID), int(up[j].ID)}})
 				}
 			}
 		}
@@ -75,17 +82,17 @@ func Census(g *graph.Graph, maxLen, cap int) ([]Cycle, error) {
 	}
 
 	// Simple cycles of length >= 3 by rooted DFS.
-	n := g.N()
 	onPath := make([]bool, n)
 	pathV := make([]int, 0, maxLen)
 	pathE := make([]int, 0, maxLen)
+	ball := newBall(n)
 	var capErr error
 
 	for root := 0; root < n && capErr == nil; root++ {
 		// Distance-to-root pruning within the relevant ball: a path of
 		// length L from root can only close into a ≤maxLen cycle if the
 		// current vertex is within maxLen−L of root.
-		distToRoot := boundedBFS(g, root, maxLen-1)
+		ball.search(g, root, maxLen-1)
 		var dfs func(v int)
 		dfs = func(v int) {
 			if capErr != nil {
@@ -115,7 +122,7 @@ func Census(g *graph.Graph, maxLen, cap int) ([]Cycle, error) {
 				if w == root || onPath[w] || len(pathV) >= maxLen {
 					continue
 				}
-				d, reachable := distToRoot[w]
+				d, reachable := ball.dist(w)
 				if !reachable || len(pathV)+d > maxLen {
 					continue
 				}
@@ -138,30 +145,49 @@ func Census(g *graph.Graph, maxLen, cap int) ([]Cycle, error) {
 	return out, capErr
 }
 
-// boundedBFS returns distances from root within radius, skipping
-// vertices with labels below root (they cannot participate in cycles
-// rooted at root).
-func boundedBFS(g *graph.Graph, root, radius int) map[int]int {
-	dist := map[int]int{root: 0}
-	queue := []int{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if dist[v] == radius {
+// ball holds the distances of one bounded BFS, reused across roots.
+// stamp[v] == gen marks v as reached by the current search, with its
+// distance in d[v]; each search takes a fresh generation, so starting
+// one clears nothing. queue is the search's FIFO, reused in place.
+type ball struct {
+	stamp, d, queue []int32
+	gen             int32
+}
+
+func newBall(n int) *ball {
+	return &ball{stamp: make([]int32, n), d: make([]int32, n), queue: make([]int32, 0, n)}
+}
+
+// search records distances from root within radius, skipping vertices
+// with labels below root (they cannot participate in cycles rooted at
+// root).
+func (b *ball) search(g *graph.Graph, root, radius int) {
+	b.gen++
+	b.stamp[root], b.d[root] = b.gen, 0
+	b.queue = append(b.queue[:0], int32(root))
+	for head := 0; head < len(b.queue); head++ {
+		v := b.queue[head]
+		if int(b.d[v]) == radius {
 			continue
 		}
-		for _, h := range g.Adj(v) {
-			w := int(h.To)
-			if w < root {
+		for _, h := range g.Adj(int(v)) {
+			w := int32(h.To)
+			if int(w) < root || b.stamp[w] == b.gen {
 				continue
 			}
-			if _, ok := dist[w]; !ok {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
+			b.stamp[w], b.d[w] = b.gen, b.d[v]+1
+			b.queue = append(b.queue, w)
 		}
 	}
-	return dist
+}
+
+// dist returns v's distance from the last search's root, and whether
+// the search reached v.
+func (b *ball) dist(v int) (int, bool) {
+	if b.stamp[v] != b.gen {
+		return 0, false
+	}
+	return int(b.d[v]), true
 }
 
 // CycleCounts returns N_k, the number of cycles of each length k ≤

@@ -100,6 +100,15 @@ func BenchmarkRandomRegularSW1000(b *testing.B) {
 	}
 }
 
+func BenchmarkRandomDegreeSequenceSW(b *testing.B) {
+	degrees := mixedDegrees(999)
+	for i := 0; i < b.N; i++ {
+		if _, err := RandomDegreeSequenceSW(newRand(int64(i)), degrees); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRandomRegularPairing200(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RandomRegular(newRand(int64(i)), 200, 4); err != nil {

@@ -24,9 +24,11 @@ func RandomRegular(r *rand.Rand, n, deg int) (*graph.Graph, error) {
 	if err := checkRegular(n, deg); err != nil {
 		return nil, err
 	}
+	degrees := constantDegrees(n, deg)
+	points := make([]int, 0, n*deg)
 	const maxAttempts = 10000
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		g, ok := pairingAttempt(r, n, deg)
+		g, ok := pairingAttempt(r, degrees, points)
 		if ok && g.IsConnected() {
 			return g, nil
 		}
@@ -34,29 +36,25 @@ func RandomRegular(r *rand.Rand, n, deg int) (*graph.Graph, error) {
 	return nil, fmt.Errorf("gen: pairing model failed after retries (n=%d, r=%d)", n, deg)
 }
 
-// pairingAttempt runs one round of the configuration model: pair up
-// n·deg half-edge points uniformly, reject on loop or parallel edge.
-func pairingAttempt(r *rand.Rand, n, deg int) (*graph.Graph, bool) {
-	points := make([]int, n*deg)
-	for i := range points {
-		points[i] = i / deg
+// pairingAttempt runs one round of the configuration model: lay out one
+// point per half-edge (vertex v repeated degrees[v] times) in points'
+// backing array, shuffle them uniformly, pair consecutive points, and
+// reject on a loop or a parallel edge. g holds exactly the pairs made
+// so far, so HasEdge is the parallel-edge test.
+func pairingAttempt(r *rand.Rand, degrees, points []int) (*graph.Graph, bool) {
+	points = points[:0]
+	for v, d := range degrees {
+		for i := 0; i < d; i++ {
+			points = append(points, v)
+		}
 	}
 	r.Shuffle(len(points), func(i, j int) { points[i], points[j] = points[j], points[i] })
-	g := graph.New(n)
-	seen := make(map[[2]int]bool, n*deg/2)
+	g := graph.NewWithDegrees(degrees)
 	for i := 0; i < len(points); i += 2 {
 		u, v := points[i], points[i+1]
-		if u == v {
+		if u == v || g.HasEdge(u, v) {
 			return nil, false
 		}
-		key := [2]int{u, v}
-		if u > v {
-			key = [2]int{v, u}
-		}
-		if seen[key] {
-			return nil, false
-		}
-		seen[key] = true
 		if err := g.AddEdge(u, v); err != nil {
 			panic(err)
 		}
@@ -71,77 +69,16 @@ func pairingAttempt(r *rand.Rand, n, deg int) (*graph.Graph, bool) {
 // remaining feasible pairs exhausted) the whole attempt restarts. The
 // resulting distribution is asymptotically uniform for constant degree
 // (Steger & Wormald 1999) and the algorithm is the one behind the
-// NetworkX generator the paper used.
+// NetworkX generator the paper used. It is RandomDegreeSequenceSW on
+// the constant sequence, draw for draw.
 func RandomRegularSW(r *rand.Rand, n, deg int) (*graph.Graph, error) {
 	if err := checkRegular(n, deg); err != nil {
 		return nil, err
 	}
-	const maxRestarts = 1000
-	for attempt := 0; attempt < maxRestarts; attempt++ {
-		g, ok := swAttempt(r, n, deg)
-		if ok && g.IsConnected() {
-			return g, nil
-		}
+	if g, ok := swPairing(r, constantDegrees(n, deg), n*deg); ok {
+		return g, nil
 	}
 	return nil, fmt.Errorf("gen: Steger-Wormald failed after retries (n=%d, r=%d)", n, deg)
-}
-
-func swAttempt(r *rand.Rand, n, deg int) (*graph.Graph, bool) {
-	// stubs[v] = number of unmatched half-edges at v.
-	stubs := make([]int, n)
-	// live is the multiset of vertices with unmatched half-edges, one
-	// entry per half-edge, maintained with swap-delete for O(1) removal.
-	live := make([]int, 0, n*deg)
-	for v := 0; v < n; v++ {
-		stubs[v] = deg
-		for i := 0; i < deg; i++ {
-			live = append(live, v)
-		}
-	}
-	g := graph.New(n)
-	adj := make([]map[int]bool, n)
-	for v := range adj {
-		adj[v] = make(map[int]bool, deg)
-	}
-	remove := func(idx int) {
-		live[idx] = live[len(live)-1]
-		live = live[:len(live)-1]
-	}
-	for len(live) > 0 {
-		// Pick a uniformly random feasible pair; give up on this
-		// attempt after too many consecutive infeasible draws, which
-		// happens only near the end of a doomed pairing.
-		const patience = 2000
-		paired := false
-		for try := 0; try < patience; try++ {
-			i := r.Intn(len(live))
-			j := r.Intn(len(live))
-			u, v := live[i], live[j]
-			if u == v || adj[u][v] {
-				continue
-			}
-			// Remove the two half-edges (higher index first so the
-			// first removal cannot move the second entry).
-			if i < j {
-				i, j = j, i
-			}
-			remove(i)
-			remove(j)
-			stubs[u]--
-			stubs[v]--
-			adj[u][v] = true
-			adj[v][u] = true
-			if err := g.AddEdge(u, v); err != nil {
-				panic(err)
-			}
-			paired = true
-			break
-		}
-		if !paired {
-			return nil, false
-		}
-	}
-	return g, true
 }
 
 func checkRegular(n, deg int) error {
@@ -157,6 +94,34 @@ func checkRegular(n, deg int) error {
 	return nil
 }
 
+func constantDegrees(n, deg int) []int {
+	degrees := make([]int, n)
+	for v := range degrees {
+		degrees[v] = deg
+	}
+	return degrees
+}
+
+// checkSequence validates a degree sequence for a simple graph and
+// returns its degree sum.
+func checkSequence(degrees []int) (int, error) {
+	n := len(degrees)
+	if n == 0 {
+		return 0, fmt.Errorf("%w: empty sequence", ErrDegreeSequence)
+	}
+	total := 0
+	for v, d := range degrees {
+		if d < 0 || d >= n {
+			return 0, fmt.Errorf("%w: degree %d at vertex %d", ErrDegreeSequence, d, v)
+		}
+		total += d
+	}
+	if total%2 != 0 {
+		return 0, fmt.Errorf("%w: odd degree sum %d", ErrDegreeSequence, total)
+	}
+	return total, nil
+}
+
 // RandomDegreeSequenceSW returns a random simple connected graph with
 // the given degree sequence using the Steger–Wormald-style incremental
 // pairing of RandomRegularSW generalised to non-uniform stubs. For
@@ -165,64 +130,63 @@ func checkRegular(n, deg int) error {
 // for a 4/6/8 mixture), while incremental pairing accepts almost
 // always; prefer this constructor for experiments.
 func RandomDegreeSequenceSW(r *rand.Rand, degrees []int) (*graph.Graph, error) {
-	n := len(degrees)
-	if n == 0 {
-		return nil, fmt.Errorf("%w: empty sequence", ErrDegreeSequence)
+	total, err := checkSequence(degrees)
+	if err != nil {
+		return nil, err
 	}
-	total := 0
-	for v, d := range degrees {
-		if d < 0 || d >= n {
-			return nil, fmt.Errorf("%w: degree %d at vertex %d", ErrDegreeSequence, d, v)
-		}
-		total += d
+	if g, ok := swPairing(r, degrees, total); ok {
+		return g, nil
 	}
-	if total%2 != 0 {
-		return nil, fmt.Errorf("%w: odd degree sum %d", ErrDegreeSequence, total)
-	}
+	return nil, fmt.Errorf("gen: degree-sequence SW failed after retries (n=%d)", len(degrees))
+}
+
+// swPairing restarts swSequenceAttempt until it yields a connected
+// graph, giving up after a fixed number of restarts.
+func swPairing(r *rand.Rand, degrees []int, total int) (*graph.Graph, bool) {
 	const maxRestarts = 1000
 	for attempt := 0; attempt < maxRestarts; attempt++ {
 		g, ok := swSequenceAttempt(r, degrees, total)
 		if ok && g.IsConnected() {
-			return g, nil
+			return g, true
 		}
 	}
-	return nil, fmt.Errorf("gen: degree-sequence SW failed after retries (n=%d)", n)
+	return nil, false
 }
 
 func swSequenceAttempt(r *rand.Rand, degrees []int, total int) (*graph.Graph, bool) {
-	n := len(degrees)
+	// live is the multiset of vertices with unmatched half-edges, one
+	// entry per half-edge, maintained with swap-delete for O(1) removal.
 	live := make([]int, 0, total)
 	for v, d := range degrees {
 		for i := 0; i < d; i++ {
 			live = append(live, v)
 		}
 	}
-	g := graph.New(n)
-	adj := make([]map[int]bool, n)
-	for v := range adj {
-		adj[v] = make(map[int]bool, degrees[v])
-	}
-	remove := func(idx int) {
-		live[idx] = live[len(live)-1]
-		live = live[:len(live)-1]
-	}
+	g := graph.NewWithDegrees(degrees)
 	for len(live) > 0 {
+		// Pick a uniformly random feasible pair; give up on this
+		// attempt after too many consecutive infeasible draws, which
+		// happens only near the end of a doomed pairing. g holds
+		// exactly the pairs made so far, so HasEdge (a scan of at most
+		// deg halves) is the parallel-edge test.
 		const patience = 2000
 		paired := false
 		for try := 0; try < patience; try++ {
 			i := r.Intn(len(live))
 			j := r.Intn(len(live))
 			u, v := live[i], live[j]
-			if u == v || adj[u][v] {
+			if u == v || g.HasEdge(u, v) {
 				continue
 			}
+			// Swap-delete the two half-edges, higher index first so
+			// the first removal cannot move the second entry.
 			if i < j {
 				i, j = j, i
 			}
-			remove(i)
-			remove(j)
-			adj[u][v] = true
-			adj[v][u] = true
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
 			if err := g.AddEdge(u, v); err != nil {
 				panic(err)
 			}
@@ -244,55 +208,17 @@ func swSequenceAttempt(r *rand.Rand, degrees []int, total int) (*graph.Graph, bo
 // acceptance probability decays fast with degree spread — see
 // RandomDegreeSequenceSW for the scalable variant.
 func RandomDegreeSequence(r *rand.Rand, degrees []int) (*graph.Graph, error) {
-	n := len(degrees)
-	if n == 0 {
-		return nil, fmt.Errorf("%w: empty sequence", ErrDegreeSequence)
+	total, err := checkSequence(degrees)
+	if err != nil {
+		return nil, err
 	}
-	total := 0
-	for v, d := range degrees {
-		if d < 0 || d >= n {
-			return nil, fmt.Errorf("%w: degree %d at vertex %d", ErrDegreeSequence, d, v)
-		}
-		total += d
-	}
-	if total%2 != 0 {
-		return nil, fmt.Errorf("%w: odd degree sum %d", ErrDegreeSequence, total)
-	}
-	const maxAttempts = 20000
 	points := make([]int, 0, total)
+	const maxAttempts = 20000
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		points = points[:0]
-		for v, d := range degrees {
-			for i := 0; i < d; i++ {
-				points = append(points, v)
-			}
-		}
-		r.Shuffle(len(points), func(i, j int) { points[i], points[j] = points[j], points[i] })
-		g := graph.New(n)
-		ok := true
-		seen := make(map[[2]int]bool, total/2)
-		for i := 0; i < len(points) && ok; i += 2 {
-			u, v := points[i], points[i+1]
-			if u == v {
-				ok = false
-				break
-			}
-			key := [2]int{u, v}
-			if u > v {
-				key = [2]int{v, u}
-			}
-			if seen[key] {
-				ok = false
-				break
-			}
-			seen[key] = true
-			if err := g.AddEdge(u, v); err != nil {
-				panic(err)
-			}
-		}
+		g, ok := pairingAttempt(r, degrees, points)
 		if ok && g.IsConnected() {
 			return g, nil
 		}
 	}
-	return nil, fmt.Errorf("gen: degree-sequence model failed after retries (n=%d)", n)
+	return nil, fmt.Errorf("gen: degree-sequence model failed after retries (n=%d)", len(degrees))
 }

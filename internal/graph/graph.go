@@ -108,6 +108,36 @@ func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]Half, n)}
 }
 
+// NewWithDegrees returns a graph with len(degrees) isolated vertices
+// whose builder adjacency is preallocated for the given final degrees:
+// every list is carved out of one backing []Half, and the edge array
+// has room for sum/2 edges, so filling the graph to exactly those
+// degrees allocates nothing more. Each list is capped at its declared
+// degree, so an AddEdge beyond it reallocates that list instead of
+// overwriting its neighbour's. Like New it panics on an empty slice or
+// a size outside the 32-bit Half layout, and also on a negative degree.
+func NewWithDegrees(degrees []int) *Graph {
+	g := New(len(degrees))
+	total := 0
+	for v, d := range degrees {
+		if d < 0 {
+			panic(fmt.Sprintf("graph: negative degree %d at vertex %d", d, v))
+		}
+		total += d
+		if total > 2*MaxEdges {
+			panic(fmt.Errorf("%w: degree sum exceeds 2·%d", ErrTooLarge, MaxEdges))
+		}
+	}
+	backing := make([]Half, total)
+	off := 0
+	for v, d := range degrees {
+		g.adj[v] = backing[off : off : off+d]
+		off += d
+	}
+	g.edges = make([]Edge, 0, total/2)
+	return g
+}
+
 // NewFromEdges builds a graph with n vertices and the given edges.
 // Parallel edges and loops are retained.
 func NewFromEdges(n int, edges []Edge) (*Graph, error) {
