@@ -61,8 +61,8 @@ type Half struct {
 }
 
 // Graph is an undirected multigraph with loops. The zero value is an
-// empty graph with no vertices; use New or NewFromEdges to construct a
-// usable instance.
+// empty graph with no vertices; use New, NewWithDegrees or NewFromEdges
+// to construct a usable instance.
 //
 // A Graph has two storage states. While mutable, adjacency lives in a
 // per-vertex builder ([][]Half) so AddEdge is O(1) amortised. Freeze
