@@ -33,7 +33,7 @@ func TestReportJSONShape(t *testing.T) {
 	rep := Report{
 		GoVersion:  "go1.24",
 		Benchmarks: []BenchResult{{Name: "EProcessStep", Iterations: 1, NsPerOp: 12.5}},
-		Cover:      CoverResult{N: 100, Degree: 4, Trials: 2, MeanVertexSteps: 250},
+		Kernel:     []KernelResult{{N: 100, Degree: 4, Rounds: 2, KernelNsPerCover: 250}},
 	}
 	data, err := json.Marshal(rep)
 	if err != nil {
@@ -51,29 +51,13 @@ func TestReportJSONShape(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Benchmarks[0].Name != "EProcessStep" || back.Cover.MeanVertexSteps != 250 {
+	if back.Benchmarks[0].Name != "EProcessStep" || back.Kernel[0].KernelNsPerCover != 250 {
 		t.Fatalf("round-trip mismatch: %+v", back)
 	}
-	for _, key := range []string{"ns_per_op", "allocs_per_op", "mean_vertex_steps"} {
+	for _, key := range []string{"ns_per_op", "allocs_per_op", "kernel_ns_per_cover"} {
 		if !strings.Contains(string(raw), key) {
 			t.Errorf("serialized report missing %q", key)
 		}
-	}
-}
-
-// The footprint probe must report the packed layout: 8-byte halves and
-// a resident hot state below the former 16-byte-Half layout's floor
-// (two 16-byte copies of every half alone put it past 32 B/half).
-func TestMeasureFootprintPackedLayout(t *testing.T) {
-	res := measureFootprint(500, 4)
-	if res.HalfBytes != 8 {
-		t.Fatalf("sizeof(graph.Half) = %d, want 8", res.HalfBytes)
-	}
-	if res.HeapBytes <= 0 || res.PeakAllocObjs <= 0 || res.PeakAllocByte <= 0 {
-		t.Fatalf("implausible footprint %+v", res)
-	}
-	if res.BytesPerHalf >= 32 {
-		t.Errorf("bytes per half = %.1f, want below the 16-byte-Half layout's 32", res.BytesPerHalf)
 	}
 }
 
@@ -91,34 +75,33 @@ func TestMustRegularDeterministic(t *testing.T) {
 	}
 }
 
-// The sweep benchmark's plan must be runnable and derive a distinct
-// seed for every (point, stream, trial).
-func TestSweepPlanShape(t *testing.T) {
-	plan := sweepPlan(3, 40, 4, 2, 2, true)
-	seeds := plan.Seeds()
-	if want := 3 * 2 * (1 + len(benchArms())); len(seeds) != want { // points × trials × (graph + arms)
-		t.Fatalf("seeds = %d, want %d", len(seeds), want)
-	}
-	uniq := map[uint64]bool{}
-	for _, s := range seeds {
-		if uniq[s] {
-			t.Fatalf("duplicate derived seed %#x", s)
-		}
-		uniq[s] = true
-	}
-	points, err := plan.Run()
+// -compare's baseline must carry every step benchmark by name, and a
+// file without them (BENCH_7.json is a perfbench-format report) must be
+// an error rather than a run whose control reports no drift.
+func TestLoadBaseline(t *testing.T) {
+	base, err := loadBaseline(filepath.Join("..", "..", "BENCH_6.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
+	for _, nb := range stepBenches(nil, nil) {
+		if b, ok := base[nb.name]; !ok || b.NsPerOp <= 0 {
+			t.Errorf("BENCH_6.json: step benchmark %q missing", nb.name)
+		}
 	}
-	for _, pt := range points {
-		if pt.Rep == nil || !pt.Rep.Frozen() {
-			t.Errorf("point %s: missing frozen representative graph", pt.Key)
-		}
-		if pt.Arms[0].VertexStats.Mean < 39 {
-			t.Errorf("point %s: impossible cover mean %v", pt.Key, pt.Arms[0].VertexStats.Mean)
-		}
+
+	path := filepath.Join("..", "..", "BENCH_7.json")
+	if _, err := loadBaseline(path); err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("loadBaseline(BENCH_7.json) = %v, want an error naming the file", err)
+	}
+	noControl := filepath.Join(t.TempDir(), "nocontrol.json")
+	data, err := json.Marshal(Report{Benchmarks: []BenchResult{{Name: "EProcessStep", NsPerOp: 12.5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(noControl, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadBaseline(noControl); err == nil || !strings.Contains(err.Error(), controlBench) {
+		t.Errorf("baseline without %s: err = %v, want an error naming the control", controlBench, err)
 	}
 }

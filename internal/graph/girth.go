@@ -9,39 +9,41 @@ package graph
 // witnesses a cycle through the root's BFS tree of length
 // d(u)+d(v)+1. Running it over all roots yields the exact girth in
 // O(n·m). Girth is used by Theorem 3's edge-cover bound and by the
-// high-girth experiment graphs.
+// high-girth experiment graphs. A root's BFS costs only what it
+// visits: it stops once no shorter cycle can pass through the root.
 func (g *Graph) Girth() int {
-	best := -1
-	// Multigraph short-circuit: loops and parallel edges.
-	seen := make(map[Edge]bool, g.M())
-	for _, e := range g.edges {
-		if e.IsLoop() {
-			return 1
+	// Multigraph short-circuit: loops and parallel edges. While v's list
+	// is scanned, dist[w] == v+1 marks w as already seen from v. Every
+	// list is scanned before parallel edges answer 2, so a loop anywhere
+	// still answers 1.
+	dist := make([]int, g.N())
+	parallel := false
+	for v := range dist {
+		for _, h := range g.Adj(v) {
+			w := int(h.To)
+			if w == v {
+				return 1
+			}
+			if dist[w] == v+1 {
+				parallel = true
+			}
+			dist[w] = v + 1
 		}
-		key := e
-		if key.U > key.V {
-			key.U, key.V = key.V, key.U
-		}
-		if seen[key] {
-			best = 2
-		}
-		seen[key] = true
 	}
-	if best == 2 {
+	if parallel {
 		return 2
 	}
 
-	dist := make([]int, g.N())
+	best := -1
+	for i := range dist {
+		dist[i] = -1
+	}
 	parentEdge := make([]int, g.N())
 	queue := make([]int, 0, g.N())
 	for root := 0; root < g.N(); root++ {
-		for i := range dist {
-			dist[i] = -1
-		}
 		dist[root] = 0
 		parentEdge[root] = -1
-		queue = queue[:0]
-		queue = append(queue, root)
+		queue = append(queue[:0], root)
 		for qi := 0; qi < len(queue); qi++ {
 			v := queue[qi]
 			if best != -1 && 2*dist[v] >= best {
@@ -67,6 +69,11 @@ func (g *Graph) Girth() int {
 		}
 		if best == 3 {
 			return 3 // cannot do better in a simple graph
+		}
+		// Every vertex this BFS reached was queued: resetting those
+		// keeps each root's cost to what it visited, not n.
+		for _, v := range queue {
+			dist[v] = -1
 		}
 	}
 	return best

@@ -290,6 +290,11 @@ func TestGirth(t *testing.T) {
 	if par.Girth() != 2 {
 		t.Error("parallel-edge girth should be 2")
 	}
+	// A loop answers 1 even when a parallel edge comes first.
+	both := MustFromEdges(4, []Edge{{0, 1}, {0, 1}, {2, 3}, {3, 3}})
+	if both.Girth() != 1 {
+		t.Error("a loop should beat an earlier parallel edge")
+	}
 	// Petersen graph: girth 5.
 	petersen := MustFromEdges(10, []Edge{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, // outer C5

@@ -171,7 +171,7 @@ func New(opts Options) *Server {
 // Handler returns the server's HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics exposes the server's counters (for tests and cmd/bench).
+// Metrics exposes the server's counters (for tests and perfbench).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Drain cancels every inflight run's context and flips /healthz to

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/walk"
 )
 
 func churnTestGraph(t *testing.T) *graph.Graph {
@@ -143,5 +146,47 @@ func TestChurnCoverExperiment(t *testing.T) {
 	// Same distribution, independent seeds: means within a loose factor.
 	if s := rows[0].Slowdown; s < 0.25 || s > 4 {
 		t.Fatalf("p=0 slowdown = %g, want ≈1", s)
+	}
+}
+
+// churnBenchGraph is the step benchmarks' graph: a frozen random
+// 4-regular graph on 10000 vertices, the size walk's
+// BenchmarkEProcessStep times the static step on.
+func churnBenchGraph(b *testing.B) *graph.Graph {
+	b.Helper()
+	g, err := gen.RandomRegularSW(rand.New(rand.NewSource(1)), 10000, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.Freeze()
+	return g
+}
+
+// BenchmarkDynEProcessStepZeroChurn is the overlay engine's step on an
+// overlay that never changes: the pure removal-mask-and-cache overhead
+// over the static step.
+func BenchmarkDynEProcessStepZeroChurn(b *testing.B) {
+	e := walk.NewEProcessOn(graph.NewOverlay(churnBenchGraph(b)), rng.NewXoshiro256(3), nil, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkDynEProcessStepChurn adds a 1% failure/repair ChurnSchedule
+// event stream; its delta over BenchmarkDynEProcessStepZeroChurn is the
+// per-step price of invalidating and rebuilding the live-adjacency
+// cache under churn.
+func BenchmarkDynEProcessStepChurn(b *testing.B) {
+	o := graph.NewOverlay(churnBenchGraph(b))
+	r := rng.NewRand(rng.NewXoshiro256(5))
+	e := walk.NewEProcessOn(o, r, nil, 0)
+	sched := ChurnSchedule{Fail: 0.01, Repair: 0.01}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sched.Step(o, r)
+		e.Step()
 	}
 }

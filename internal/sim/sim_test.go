@@ -26,8 +26,24 @@ func srwFactory(g *graph.Graph, r *rng.Rand, start int) walk.Process {
 	return walk.NewSimple(g, r, start)
 }
 
+// runOnePoint runs cfg.Trials trials of one arm on a one-point plan:
+// the single-point trial batch the TestRun* tests pin. It keeps the
+// retired saltRun namespace, so these tests walk the trajectories they
+// always did.
+func runOnePoint(cfg Config, gf GraphFactory, arm Arm) (ArmResult, error) {
+	plan := SweepPlan{
+		Config: cfg,
+		Points: []PointSpec{{Key: "run", Salt: Salt(saltRun), Graph: gf, Arms: []Arm{arm}}},
+	}
+	points, err := plan.Run()
+	if err != nil {
+		return ArmResult{}, err
+	}
+	return points[0].Arms[0], nil
+}
+
 func TestRunBasic(t *testing.T) {
-	res, err := Run(Config{Seed: 1, Trials: 4}, regularFactory(60, 4), eprocessFactory)
+	res, err := runOnePoint(Config{Seed: 1, Trials: 4}, regularFactory(60, 4), CoverArm("cover", eprocessFactory))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +62,11 @@ func TestRunBasic(t *testing.T) {
 }
 
 func TestRunReproducibleAcrossWorkers(t *testing.T) {
-	a, err := Run(Config{Seed: 42, Trials: 6, Workers: 1}, regularFactory(40, 4), eprocessFactory)
+	a, err := runOnePoint(Config{Seed: 42, Trials: 6, Workers: 1}, regularFactory(40, 4), CoverArm("cover", eprocessFactory))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(Config{Seed: 42, Trials: 6, Workers: 4}, regularFactory(40, 4), eprocessFactory)
+	b, err := runOnePoint(Config{Seed: 42, Trials: 6, Workers: 4}, regularFactory(40, 4), CoverArm("cover", eprocessFactory))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +79,11 @@ func TestRunReproducibleAcrossWorkers(t *testing.T) {
 }
 
 func TestRunSeedSensitivity(t *testing.T) {
-	a, err := Run(Config{Seed: 1, Trials: 3}, regularFactory(40, 4), eprocessFactory)
+	a, err := runOnePoint(Config{Seed: 1, Trials: 3}, regularFactory(40, 4), CoverArm("cover", eprocessFactory))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(Config{Seed: 2, Trials: 3}, regularFactory(40, 4), eprocessFactory)
+	b, err := runOnePoint(Config{Seed: 2, Trials: 3}, regularFactory(40, 4), CoverArm("cover", eprocessFactory))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +99,7 @@ func TestRunSeedSensitivity(t *testing.T) {
 }
 
 func TestRunMTKind(t *testing.T) {
-	res, err := Run(Config{Seed: 7, Trials: 2, Kind: rng.KindMT19937}, regularFactory(30, 4), eprocessFactory)
+	res, err := runOnePoint(Config{Seed: 7, Trials: 2, Kind: rng.KindMT19937}, regularFactory(30, 4), CoverArm("cover", eprocessFactory))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,25 +109,26 @@ func TestRunMTKind(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(Config{}, nil, eprocessFactory); err == nil {
+	if _, err := runOnePoint(Config{}, nil, CoverArm("cover", eprocessFactory)); err == nil {
 		t.Error("nil graph factory should fail")
 	}
-	if _, err := Run(Config{}, regularFactory(30, 4), nil); err == nil {
+	// A nil process factory leaves the arm without a Run func.
+	if _, err := runOnePoint(Config{}, regularFactory(30, 4), Arm{Name: "cover"}); err == nil {
 		t.Error("nil process factory should fail")
 	}
 	// Graph factory error propagates.
 	bad := func(r *rand.Rand) (*graph.Graph, error) { return gen.RandomRegular(r, 5, 5) }
-	if _, err := Run(Config{Trials: 1}, bad, eprocessFactory); err == nil {
+	if _, err := runOnePoint(Config{Trials: 1}, bad, CoverArm("cover", eprocessFactory)); err == nil {
 		t.Error("factory error should propagate")
 	}
 	// Budget exhaustion propagates.
-	if _, err := Run(Config{Trials: 1, MaxSteps: 3}, regularFactory(30, 4), srwFactory); err == nil {
+	if _, err := runOnePoint(Config{Trials: 1, MaxSteps: 3}, regularFactory(30, 4), CoverArm("cover", srwFactory)); err == nil {
 		t.Error("tiny budget should propagate cover error")
 	}
 }
 
 func TestRunVertexOnly(t *testing.T) {
-	res, err := RunVertexOnly(Config{Seed: 3, Trials: 3}, regularFactory(50, 4), srwFactory)
+	res, err := runOnePoint(Config{Seed: 3, Trials: 3}, regularFactory(50, 4), VertexArm("vertex-cover", srwFactory))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,10 @@ func Salt(parts ...uint64) uint64 {
 // of these, so seed streams are disjoint across experiments even when
 // their points share coordinates (e.g. the same n sweep).
 const (
-	saltRun uint64 = iota + 1 // Run / RunVertexOnly single-point batches
+	// saltRun salts no experiment, only sim_test's one-point batches.
+	// The slot stays so that every later namespace, and with it every
+	// golden, keeps its value.
+	saltRun uint64 = iota + 1
 	saltTHM1
 	saltRADZIK
 	saltCOR2
